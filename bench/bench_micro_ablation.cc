@@ -1,4 +1,4 @@
-// Ablation microbenchmarks for the design choices DESIGN.md calls out —
+// Ablation microbenchmarks for the engines' storage-layout choices —
 // each compares the two sides of one architectural decision the paper's
 // §6 analysis turns on:
 //

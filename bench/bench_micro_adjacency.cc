@@ -282,7 +282,9 @@ int Run(int argc, char** argv) {
 
     // Shortest path (Fig. 7 shape) through the rewritten consumer; both
     // columns stream, the comparison of interest is vs the BFS baseline
-    // row above, so report the visitor path in both slots.
+    // row above, so report the visitor path in both slots. A hop here is
+    // one expanded vertex (PathSearchStats::expanded) — the work the
+    // search did, not the length of the path it returned.
     if (bfs_starts.size() >= 2) {
       Measurement sp = Measure([&] {
         uint64_t hops = 0;
@@ -290,7 +292,7 @@ int Run(int argc, char** argv) {
           auto r = query::ShortestPath(**engine, *session, bfs_starts[i],
                                        bfs_starts[i + 1], std::nullopt, 8,
                                        never);
-          if (r.ok()) hops += r->path.size();
+          if (r.ok()) hops += r->stats.expanded;
         }
         return hops;
       });

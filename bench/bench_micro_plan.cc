@@ -5,7 +5,9 @@
 // models off, so the numbers are the execution model's own. Reports
 // wall-clock per run, result rows/sec, the speedup of the conflated
 // policy, and the peak intermediate-result bytes each policy
-// materialized (PlanStats).
+// materialized (PlanStats). The V.bothE.label.dedup.count shape is the
+// fused xE().label() walk against step-wise ExpandE -> LabelMap. Exits
+// non-zero when the two policies disagree on any shape's result.
 //
 // Usage: bench_micro_plan [--scale=<f>] [--engines=a,b,c] [--rounds=<n>]
 //        [--dataset=<name>] [--json=<path>]
@@ -115,6 +117,10 @@ int Run(int argc, char** argv) {
       {"E.hasLabel.count", Traversal::E().HasLabel(probe_label).Count()});
   shapes.push_back({"V.limit.100", Traversal::V().Limit(100)});
   shapes.push_back({"V.count", Traversal::V().Count()});
+  // Q.25-Q.27 over every vertex: conflated runs bothE().label() as one
+  // ForEachEdgeLabel pass, step-wise re-fetches every edge in LabelMap.
+  shapes.push_back({"V.bothE.label.dedup.count",
+                    Traversal::V().BothE().Label().Dedup().Count()});
 
   std::printf(
       "plan micro-bench: dataset=%s scale=%.3f (%zu vertices, %zu edges), "
@@ -123,7 +129,7 @@ int Run(int argc, char** argv) {
       rounds);
   std::printf("probe: has(%s == %s), hasLabel(%s)\n\n", probe_key.c_str(),
               probe_value.ToString().c_str(), probe_label.c_str());
-  std::printf("%-9s %-18s %10s %10s %8s %12s %12s %10s\n", "engine", "shape",
+  std::printf("%-9s %-25s %10s %10s %8s %12s %12s %10s\n", "engine", "shape",
               "step ms", "confl ms", "speedup", "step rows/s", "confl rows/s",
               "step KiB");
 
@@ -167,7 +173,7 @@ int Run(int argc, char** argv) {
       double speedup = conf->seconds_per_run > 0
                            ? step->seconds_per_run / conf->seconds_per_run
                            : 0.0;
-      std::printf("%-9s %-18s %10.3f %10.3f %8.2f %12.0f %12.0f %10.1f\n",
+      std::printf("%-9s %-25s %10.3f %10.3f %8.2f %12.0f %12.0f %10.1f\n",
                   name.c_str(), shape.name, step->seconds_per_run * 1e3,
                   conf->seconds_per_run * 1e3, speedup, step->RowsPerSec(),
                   conf->RowsPerSec(), step->peak_frontier_bytes / 1024.0);

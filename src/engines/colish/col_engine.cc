@@ -439,6 +439,15 @@ Status ColEngine::ForEachNeighbor(QuerySession& session, VertexId v,
                  [&](const AdjEntry& entry) { return fn(entry.other); });
 }
 
+Status ColEngine::ForEachEdgeLabel(
+    QuerySession& session, VertexId v, Direction dir, const std::string* label,
+    const CancelToken& cancel,
+    const std::function<bool(std::string_view)>& fn) const {
+  return WalkAdj(session, v, dir, label, cancel, [&](const AdjEntry& entry) {
+    return fn(labels_.Get(entry.label));
+  });
+}
+
 Result<EdgeEnds> ColEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) const {
   const AdjEntry* entry = FindOutEntry(e);
   if (entry == nullptr) return Status::NotFound("edge not found");

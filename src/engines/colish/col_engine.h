@@ -103,6 +103,11 @@ class ColEngine : public GraphEngine {
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
                          const std::function<bool(VertexId)>& fn) const override;
+  /// Labels straight from the adjacency entries WalkAdj visits.
+  Status ForEachEdgeLabel(
+      QuerySession& session, VertexId v, Direction dir,
+      const std::string* label, const CancelToken& cancel,
+      const std::function<bool(std::string_view)>& fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override { return next_vertex_; }
 

@@ -568,6 +568,18 @@ Status OrientEngine::ForEachNeighbor(QuerySession& /*session*/,
                       [&](EdgeId, VertexId other) { return fn(other); });
 }
 
+Status OrientEngine::ForEachEdgeLabel(
+    QuerySession& /*session*/, VertexId v, Direction dir,
+    const std::string* label, const CancelToken& cancel,
+    const std::function<bool(std::string_view)>& fn) const {
+  // The cluster id is the label: no edge-record read beyond the one
+  // kBoth's self-loop dedup already pays.
+  return WalkIncident(v, dir, label, cancel, /*want_other=*/false,
+                      [&](EdgeId e, VertexId) {
+                        return fn(clusters_[ClusterOf(e)].label);
+                      });
+}
+
 Result<EdgeEnds> OrientEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) const {
   GDB_ASSIGN_OR_RETURN(EdgeData data, LoadEdge(e));
   EdgeEnds ends;

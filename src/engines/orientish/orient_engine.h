@@ -77,6 +77,11 @@ class OrientEngine : public GraphEngine {
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
                          const std::function<bool(VertexId)>& fn) const override;
+  /// Labels from the per-label cluster of each ridbag entry.
+  Status ForEachEdgeLabel(
+      QuerySession& session, VertexId v, Direction dir,
+      const std::string* label, const CancelToken& cancel,
+      const std::function<bool(std::string_view)>& fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override {
     return vertex_store_.LogicalCount();

@@ -524,6 +524,15 @@ Status RelEngine::ForEachNeighbor(QuerySession& /*session*/,
                       });
 }
 
+Status RelEngine::ForEachEdgeLabel(
+    QuerySession& /*session*/, VertexId v, Direction dir,
+    const std::string* label, const CancelToken& cancel,
+    const std::function<bool(std::string_view)>& fn) const {
+  return WalkIncident(v, dir, label, cancel, [&](uint64_t table, uint64_t) {
+    return fn(etables_[table].label);
+  });
+}
+
 Result<EdgeEnds> RelEngine::GetEdgeEnds(QuerySession& /*session*/, EdgeId e) const {
   if (TableOf(e) >= etables_.size()) return Status::NotFound("edge not found");
   const ETable& t = etables_[TableOf(e)];

@@ -76,6 +76,11 @@ class RelEngine : public GraphEngine {
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
                          const std::function<bool(VertexId)>& fn) const override;
+  /// Labels from the edge table each FK-index probe lands in.
+  Status ForEachEdgeLabel(
+      QuerySession& session, VertexId v, Direction dir,
+      const std::string* label, const CancelToken& cancel,
+      const std::function<bool(std::string_view)>& fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   // VertexIdUpperBound stays 0: vertex ids pack (table, row) into sparse
   // 64-bit keys, so flat visited arrays would be pathologically large.

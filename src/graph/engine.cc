@@ -219,6 +219,25 @@ Result<std::vector<VertexId>> GraphEngine::NeighborsOf(
   return out;
 }
 
+Status GraphEngine::ForEachEdgeLabel(
+    QuerySession& session, VertexId v, Direction dir, const std::string* label,
+    const CancelToken& cancel,
+    const std::function<bool(std::string_view)>& fn) const {
+  // A failed fetch can't travel through the bool-valued visitor: it
+  // parks here and stops the walk.
+  Status fetch_status = Status::OK();
+  GDB_RETURN_IF_ERROR(
+      ForEachEdgeOf(session, v, dir, label, cancel, [&](EdgeId e) {
+    Result<EdgeEnds> ends = GetEdgeEnds(session, e);
+    if (!ends.ok()) {
+      fetch_status = ends.status();
+      return false;
+    }
+    return fn(ends->label);
+  }));
+  return fetch_status;
+}
+
 Result<uint64_t> GraphEngine::DegreeOf(QuerySession& session, VertexId v,
                                        Direction dir,
                                        const CancelToken& cancel) const {

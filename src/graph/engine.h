@@ -40,6 +40,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -195,6 +196,12 @@ struct TraversalScratch {
   uint8_t epoch = 0;
   /// Fallback visited set for engines with sparse id spaces.
   std::unordered_set<VertexId> visited_sparse;
+  /// Shortest-path parent links, indexed like visited_epoch: parent[v]
+  /// is meaningful only while v's visited stamp is current, so a new
+  /// query invalidates every link with the same epoch bump.
+  std::vector<VertexId> parent;
+  /// Parent links of vertices kept in visited_sparse.
+  std::unordered_map<VertexId, VertexId> parent_sparse;
 };
 
 /// Opaque base for per-session state owned by layers above the graph
@@ -460,6 +467,21 @@ class GraphEngine {
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
       const std::function<bool(VertexId)>& fn) const = 0;
+
+  /// Streams the label of each incident edge into `fn`, one call per
+  /// edge in exactly ForEachEdgeOf's order — the fused xE().label()
+  /// primitive of the conflated planner (paper Q.25-Q.27). Direction,
+  /// `label` restriction, early stop, cancellation, self-loop and
+  /// unknown-label semantics are those of ForEachEdgeOf. The string_view
+  /// is valid only during the callback: copy or intern it to keep it.
+  /// Default: ForEachEdgeOf plus one GetEdgeEnds per edge. Engines whose
+  /// walk already holds each edge's label (the column row's label id,
+  /// the relational edge table, the per-label cluster) override it so
+  /// the label costs no second fetch of the edge.
+  virtual Status ForEachEdgeLabel(
+      QuerySession& session, VertexId v, Direction dir,
+      const std::string* label, const CancelToken& cancel,
+      const std::function<bool(std::string_view)>& fn) const;
 
   /// Materializing wrappers over the visitors, for callers that want the
   /// whole neighborhood as a vector. Non-virtual by design: the visitors

@@ -47,6 +47,7 @@ class VisitedSet {
       s_->visited_sparse.clear();
       s_->visited_sparse.reserve(1024);
     }
+    s_->parent_sparse.clear();
   }
 
   /// Returns true if v was not yet present (and marks it).
@@ -67,6 +68,29 @@ class VisitedSet {
     return s_->visited_sparse.insert(v).second;
   }
 
+  /// Insert() that also records v's shortest-path parent when v is new.
+  /// A dense link lives in the slot next to v's stamp (and is valid
+  /// exactly as long as the stamp), a sparse one beside the sparse mark.
+  bool InsertWithParent(VertexId v, VertexId parent) {
+    if (!Insert(v)) return false;
+    if (dense_ && v < bound_) {
+      std::vector<VertexId>& links = s_->parent;
+      if (links.size() < s_->visited_epoch.size()) {
+        links.resize(s_->visited_epoch.size());
+      }
+      links[v] = parent;
+    } else {
+      s_->parent_sparse[v] = parent;
+    }
+    return true;
+  }
+
+  /// The parent recorded for a vertex InsertWithParent admitted.
+  VertexId ParentOf(VertexId v) const {
+    if (dense_ && v < bound_) return s_->parent[v];
+    return s_->parent_sparse.at(v);
+  }
+
  private:
   TraversalScratch* s_;
   bool dense_;
@@ -75,8 +99,10 @@ class VisitedSet {
 
 // Governor charge per newly reached vertex. BFS grows three per-session
 // structures per vertex (next frontier, visited list, stamp/set slot); SP
-// additionally records a parent-map entry (hash node + two ids). The
-// indexed routes charge the same rates: they grow the same shapes of
+// additionally records a parent link, charged at a hash-map entry's rate
+// (node + two ids, the sparse fallback's real cost) whichever store
+// holds it, so a budget trips at the same search size on every engine.
+// The indexed routes charge the same rates: they grow the same shapes of
 // per-query state, and keeping the accounting identical means a memory
 // budget trips at the same workload size on either path.
 constexpr uint64_t kVisitedVertexBytes = 2 * sizeof(VertexId) + 1;
@@ -377,12 +403,10 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
   }
   const std::string* label_ptr = label.has_value() ? &*label : nullptr;
   TraversalScratch& scratch = session.traversal_scratch();
-  // Membership is the hot check (one stamp compare when dense); parents
-  // are recorded only for genuinely reached vertices, so the map stays
-  // O(visited) no matter how large the id space is.
+  // Membership is the hot check (one stamp compare when dense); parent
+  // links ride in the session scratch next to the stamps, so a repeated
+  // search allocates nothing for them.
   VisitedSet reached(&scratch, engine.VertexIdUpperBound());
-  std::unordered_map<VertexId, VertexId> parent;  // child -> parent
-  parent.reserve(1024);
   reached.Insert(src);
   cancel.set_position("ShortestPath");
   std::vector<VertexId>& frontier = scratch.frontier;
@@ -390,8 +414,8 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
   frontier.assign(1, src);
   next.clear();
   bool found = false;
-  // Per reached vertex: frontier slot, visited stamp, and a parent-map
-  // entry (hash node + two ids), all governor-accounted.
+  // Per reached vertex: frontier slot, visited stamp, and a parent link,
+  // all governor-accounted at kReachedVertexBytes.
   Status charge_error = Status::OK();
   for (int depth = 0; depth < max_depth && !frontier.empty() && !found;
        ++depth) {
@@ -401,12 +425,11 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
       ++result.stats.expanded;
       GDB_RETURN_IF_ERROR(engine.ForEachNeighbor(
           session, v, Direction::kBoth, label_ptr, cancel, [&](VertexId n) {
-            if (reached.Insert(n)) {
+            if (reached.InsertWithParent(n, v)) {
               if (!cancel.Charge(kReachedVertexBytes)) {
                 charge_error = cancel.ToStatus();
                 return false;
               }
-              parent.emplace(n, v);
               if (n == dst) {
                 found = true;
                 return false;  // early-stop the visitor
@@ -422,7 +445,7 @@ Result<PathResult> ShortestPath(const GraphEngine& engine,
   }
   if (found) {
     std::vector<VertexId> rev;
-    for (VertexId cur = dst; cur != src; cur = parent.at(cur)) {
+    for (VertexId cur = dst; cur != src; cur = reached.ParentOf(cur)) {
       rev.push_back(cur);
     }
     rev.push_back(src);

@@ -313,6 +313,28 @@ Result<bool> ExpandE::Process(const ExecContext& ctx, OpScratch& state,
   return keep_going;
 }
 
+Result<bool> ExpandELabel::Process(const ExecContext& ctx, OpScratch& state,
+                                   uint64_t row, const RowSink& sink) const {
+  (void)state;
+  if (input_kind() != RowKind::kVertex) return true;
+  bool keep_going = true;
+  // Pool growth is governor-accounted; a budget trip parks here and stops
+  // the walk, like the dedup charges of the scan sources.
+  Status charge_error = Status::OK();
+  GDB_RETURN_IF_ERROR(ctx.engine.ForEachEdgeLabel(
+      ctx.session, row, dir_, VisitLabel(ctx, mode_, label_), ctx.cancel,
+      [&](std::string_view label) {
+        size_t before = ctx.scratch.pool.size();
+        uint64_t id = ctx.scratch.pool.Intern(label);
+        charge_error = ChargePoolGrowth(ctx, before, label.size());
+        if (!charge_error.ok()) return false;
+        keep_going = sink(id);
+        return keep_going;
+      }));
+  GDB_RETURN_IF_ERROR(charge_error);
+  return keep_going;
+}
+
 Result<bool> EndpointMap::Process(const ExecContext& ctx, OpScratch& state,
                                   uint64_t row, const RowSink& sink) const {
   (void)state;

@@ -361,10 +361,23 @@ class ExpandE : public Operator {
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
                        const RowSink& sink) const override;
 
- private:
+ protected:
   Direction dir_;
   LabelMode mode_;
   std::string label_;
+};
+
+/// Conflated fusion of outE()/inE()/bothE() followed by label(): one
+/// ForEachEdgeLabel walk interns each incident edge's label, in
+/// ExpandE's row order, instead of emitting edge ids that LabelMap then
+/// fetches again one by one (paper Q.25-Q.27).
+class ExpandELabel : public ExpandE {
+ public:
+  using ExpandE::ExpandE;
+  std::string_view name() const override { return "ExpandELabel"; }
+  RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
+  Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
+                       const RowSink& sink) const override;
 };
 
 /// outV()/inV(): maps edge traversers to an endpoint.

@@ -372,12 +372,28 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
     if (s.bound) return std::make_unique<Expand>(dir, Bound{});
     return std::make_unique<Expand>(dir, s.label);
   };
+  // Conflated xE().label(): one adjacency pass yields the labels the walk
+  // already holds. It keeps ExpandE's row order, so unlike the source
+  // rewrites it needs no Limit guard. Step-wise plans keep the
+  // ExpandE -> LabelMap barrier the TinkerPop adapters pay.
+  auto edge_adjacency = [&](const LogicalStep& s, Direction dir,
+                            bool fuse_label) -> std::unique_ptr<Operator> {
+    if (!fuse_label) return adjacency(s, dir, /*edges=*/true);
+    if (s.bound) return std::make_unique<ExpandELabel>(dir, Bound{});
+    return std::make_unique<ExpandELabel>(dir, s.label);
+  };
 
   for (; i < steps.size(); ++i) {
     const LogicalStep& s = steps[i];
     if (IsSourceOp(s.op) && !plan.ops_.empty()) {
       return Status::InvalidArgument("source step mid-pipeline");
     }
+    const bool fuse_label = policy == QueryExecution::kConflated &&
+                            (s.op == LogicalOp::kOutE ||
+                             s.op == LogicalOp::kInE ||
+                             s.op == LogicalOp::kBothE) &&
+                            i + 1 < steps.size() &&
+                            steps[i + 1].op == LogicalOp::kLabel;
     switch (s.op) {
       case LogicalOp::kSourceV:
         plan.ops_.push_back(std::make_unique<VertexScan>());
@@ -407,13 +423,13 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
         plan.ops_.push_back(adjacency(s, Direction::kBoth, /*edges=*/false));
         break;
       case LogicalOp::kOutE:
-        plan.ops_.push_back(adjacency(s, Direction::kOut, /*edges=*/true));
+        plan.ops_.push_back(edge_adjacency(s, Direction::kOut, fuse_label));
         break;
       case LogicalOp::kInE:
-        plan.ops_.push_back(adjacency(s, Direction::kIn, /*edges=*/true));
+        plan.ops_.push_back(edge_adjacency(s, Direction::kIn, fuse_label));
         break;
       case LogicalOp::kBothE:
-        plan.ops_.push_back(adjacency(s, Direction::kBoth, /*edges=*/true));
+        plan.ops_.push_back(edge_adjacency(s, Direction::kBoth, fuse_label));
         break;
       case LogicalOp::kOutV:
         plan.ops_.push_back(std::make_unique<EndpointMap>(true));
@@ -484,6 +500,12 @@ Result<Plan> Plan::Lower(const std::vector<LogicalStep>& input,
       }
       note(r);
       ekind = StepOutputKind(s, ekind);
+    }
+    if (fuse_label) {
+      // The label() step is part of the fused operator: no operator, no
+      // est_rows entry of its own (the map preserves the row count).
+      ++i;
+      ekind = RowKind::kValue;
     }
     if (plan.counted_) break;  // steps after a terminal count are unreachable
   }

@@ -15,11 +15,12 @@
 //    planner first applies prefix rewrites that push whole step patterns
 //    into native engine queries (Has → PropertyIndexScan, E().HasLabel →
 //    EdgeLabelScan, V().Out().Dedup() → a streaming distinct over
-//    ScanEdges), then fuses the remaining chain into a single streaming
-//    pass with no barriers: each operator pushes rows straight into its
-//    consumer, a trailing Count() never materializes a frontier, and a
-//    Limit() stops the source scan itself (the operator chain propagates
-//    "stop" upstream through the sink return value).
+//    ScanEdges) and runs xE().Label() as one ExpandELabel walk over
+//    ForEachEdgeLabel, then fuses the remaining chain into a single
+//    streaming pass with no barriers: each operator pushes rows straight
+//    into its consumer, a trailing Count() never materializes a frontier,
+//    and a Limit() stops the source scan itself (the operator chain
+//    propagates "stop" upstream through the sink return value).
 //
 // Both policies run the *same* operator implementations; only the
 // executor and the planner rewrites differ, so result equivalence is

@@ -17,6 +17,7 @@
 
 #include "src/datasets/generators.h"
 #include "src/graph/registry.h"
+#include "src/graph/writer.h"
 #include "src/query/algorithms.h"
 
 namespace gdbmicro {
@@ -520,6 +521,93 @@ TEST_P(EngineTest, VisitorUnknownLabelVisitsNothing) {
                                       return true;
                                     });
   EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(visits, 0u);
+}
+
+// The label visitor's reference: ForEachEdgeOf plus one GetEdgeEnds per
+// edge, in visit order.
+std::vector<std::string> ReferenceEdgeLabels(const GraphEngine& engine,
+                                             QuerySession& session, VertexId v,
+                                             Direction dir,
+                                             const std::string* label) {
+  std::vector<std::string> labels;
+  CancelToken never;
+  EXPECT_TRUE(engine
+                  .ForEachEdgeOf(session, v, dir, label, never,
+                                 [&](EdgeId e) {
+                                   auto ends = engine.GetEdgeEnds(session, e);
+                                   EXPECT_TRUE(ends.ok()) << ends.status();
+                                   if (ends.ok()) labels.push_back(ends->label);
+                                   return true;
+                                 })
+                  .ok());
+  return labels;
+}
+
+TEST_P(EngineTest, EdgeLabelVisitorMatchesEdgeVisitorSequence) {
+  std::vector<VertexId> v = BuildVisitorGraph(engine_.get());
+  // Extra edges — a parallel pair, a second self-loop, a third label —
+  // some of them removed again through the writer, so tombstones, free
+  // lists and FK-index erasure are all on the walk.
+  std::vector<EdgeId> doomed = {
+      engine_->AddEdge(v[0], v[1], "blue", {}).value(),
+      engine_->AddEdge(v[1], v[0], "red", {}).value(),
+      engine_->AddEdge(v[0], v[0], "blue", {}).value(),
+  };
+  ASSERT_TRUE(engine_->AddEdge(v[1], v[0], "green", {}).ok());
+  ASSERT_TRUE(engine_->AddEdge(v[1], v[0], "green", {}).ok());
+  ASSERT_TRUE(engine_->AddEdge(v[0], v[0], "green", {}).ok());
+  session_.reset();  // the writer drains pinned sessions before applying
+  {
+    GraphWriter writer(engine_.get());
+    WriteBatch batch;
+    for (EdgeId e : doomed) batch.RemoveEdge(EdgeRef(e));
+    auto receipt = writer.Commit(batch);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  session_ = engine_->CreateSession();
+
+  std::string red = "red", green = "green", missing = "nope";
+  const std::string* filters[] = {nullptr, &red, &green, &missing};
+  for (VertexId probe : v) {
+    for (Direction dir :
+         {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+      for (const std::string* label : filters) {
+        std::vector<std::string> streamed;
+        Status s = engine_->ForEachEdgeLabel(
+            *session_, probe, dir, label, never_, [&](std::string_view l) {
+              streamed.emplace_back(l);
+              return true;
+            });
+        ASSERT_TRUE(s.ok()) << s;
+        EXPECT_EQ(streamed, ReferenceEdgeLabels(*engine_, *session_, probe,
+                                                dir, label))
+            << "vertex " << probe << " dir " << static_cast<int>(dir)
+            << " label " << (label != nullptr ? *label : "(any)");
+      }
+    }
+  }
+
+  // Early stop: fn returning false ends the walk after one label.
+  uint64_t visits = 0;
+  Status s = engine_->ForEachEdgeLabel(*session_, v[0], Direction::kBoth,
+                                       nullptr, never_, [&](std::string_view) {
+                                         ++visits;
+                                         return false;
+                                       });
+  EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(visits, 1u);
+
+  // An already-cancelled token visits nothing and reports the typed status.
+  CancelToken cancelled;
+  cancelled.Cancel();
+  visits = 0;
+  s = engine_->ForEachEdgeLabel(*session_, v[0], Direction::kBoth, nullptr,
+                                cancelled, [&](std::string_view) {
+                                  ++visits;
+                                  return true;
+                                });
+  EXPECT_TRUE(s.IsDeadlineExceeded()) << s;
   EXPECT_EQ(visits, 0u);
 }
 

@@ -125,6 +125,12 @@ std::vector<std::pair<std::string, Traversal>> Shapes() {
                           .Has("kind", PropertyValue("thing"))
                           .Has("tier", PropertyValue("rare"))
                           .Limit(2));
+  shapes.emplace_back("bothE-label-dedup",
+                      Traversal::V().BothE().Label().Dedup());
+  shapes.emplace_back("outE-labeled-label-count",
+                      Traversal::V().OutE("likes").Label().Count());
+  shapes.emplace_back("inE-label-limit",
+                      Traversal::V().InE().Label().Limit(2));
   shapes.emplace_back("miss-everything",
                       Traversal::V().Has("tier", PropertyValue("absent")));
   return shapes;
@@ -212,6 +218,68 @@ TEST_P(OptimizerConformanceTest, StatsOffFallbackIsRuleBasedExactly) {
     auto lowered = t.LowerFor(**engine, policy);
     ASSERT_TRUE(lowered.ok()) << name;
     EXPECT_TRUE(lowered->estimated_rows().empty()) << name;
+  }
+}
+
+// V(id).xE([l]).label() runs as one fused adjacency pass on the
+// conflated engines; statistics must not change its answers (with stats
+// on, the rule-based prefix rewrites are skipped, so the fusion is the
+// only conflated rewrite these shapes get).
+TEST_P(OptimizerConformanceTest, EdgeLabelFusionSameWithStatsOnAndOff) {
+  GraphData data = SkewedData();
+  EngineOptions off_options;
+  off_options.collect_statistics = false;
+  auto on = OpenEngine(GetParam(), EngineOptions{});
+  auto off = OpenEngine(GetParam(), off_options);
+  ASSERT_TRUE(on.ok() && off.ok());
+  auto on_map = (*on)->BulkLoad(data);
+  auto off_map = (*off)->BulkLoad(data);
+  ASSERT_TRUE(on_map.ok() && off_map.ok());
+  ASSERT_NE((*on)->statistics(), nullptr);
+  ASSERT_EQ((*off)->statistics(), nullptr);
+  auto on_session = (*on)->CreateSession();
+  auto off_session = (*off)->CreateSession();
+  CancelToken never;
+
+  // Vertex 0 is the hub (40 likes out, one follows out); 1 and 199 sit
+  // on the follows chain; 200 is an item.
+  for (uint64_t index : {uint64_t{0}, uint64_t{1}, uint64_t{199}, uint64_t{200}}) {
+    auto shapes = [](VertexId v) {
+      std::vector<std::pair<std::string, Traversal>> out;
+      out.emplace_back("bothE.label", Traversal::V(v).BothE().Label());
+      out.emplace_back("outE(likes).label",
+                       Traversal::V(v).OutE("likes").Label());
+      out.emplace_back("inE.label.dedup.count",
+                       Traversal::V(v).InE().Label().Dedup().Count());
+      out.emplace_back("bothE.label.dedup.count",
+                       Traversal::V(v).BothE().Label().Dedup().Count());
+      out.emplace_back("bothE.label.limit(2)",
+                       Traversal::V(v).BothE().Label().Limit(2));
+      return out;
+    };
+    auto on_shapes = shapes(on_map->vertex_ids[index]);
+    auto off_shapes = shapes(off_map->vertex_ids[index]);
+    for (size_t i = 0; i < on_shapes.size(); ++i) {
+      const std::string& name = on_shapes[i].first;
+      for (QueryExecution policy :
+           {QueryExecution::kStepWise, QueryExecution::kConflated}) {
+        auto on_plan = on_shapes[i].second.LowerFor(**on, policy);
+        auto off_plan = off_shapes[i].second.LowerFor(**off, policy);
+        ASSERT_TRUE(on_plan.ok() && off_plan.ok()) << name;
+        EXPECT_EQ(on_plan->estimated_rows().size(), on_plan->num_operators())
+            << name;
+        auto on_out = on_plan->Run(**on, *on_session, never);
+        auto off_out = off_plan->Run(**off, *off_session, never);
+        ASSERT_TRUE(on_out.ok()) << name << ": " << on_out.status();
+        ASSERT_TRUE(off_out.ok()) << name << ": " << off_out.status();
+        EXPECT_EQ(on_out->counted, off_out->counted) << name;
+        EXPECT_EQ(on_out->count, off_out->count) << name;
+        // Same engine layout on both sides: even the label order agrees.
+        EXPECT_EQ(on_out->values, off_out->values)
+            << name << " vertex " << index << " under "
+            << QueryExecutionToString(policy);
+      }
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 namespace gdbmicro {
 namespace {
 
+using query::Bound;
 using query::Plan;
 using query::PlanStats;
 using query::RowKind;
@@ -140,6 +141,16 @@ TEST_P(PlanEquivalenceTest, Table2ReadAndTraversalShapes) {
        Traversal::V(p_[1]).InE().Label().Dedup().Count(), 2},
       {"Q27 v.bothE.label.dedup",
        Traversal::V(p_[2]).BothE().Label().Dedup().Count(), 1},
+      {"v.bothE.label.dedup (hub)",
+       Traversal::V(p_[1]).BothE().Label().Dedup().Count(), 2},
+      {"v.bothE(knows).label.dedup",
+       Traversal::V(p_[1]).BothE(knows).Label().Dedup().Count(), 1},
+      {"v.inE(knows).label.count",
+       Traversal::V(p_[2]).InE(knows).Label().Count(), 2},
+      {"v.outE(nope).label.count",
+       Traversal::V(p_[0]).OutE(std::string("nope")).Label().Count(), 0},
+      {"v.bothE.label.limit(2).count",
+       Traversal::V(p_[1]).BothE().Label().Limit(2).Count(), 2},
       {"Q28 degree(in)>=2",
        Traversal::V().WhereDegreeAtLeast(Direction::kIn, 2).Count(), 2},
       {"Q29 degree(out)>=2",
@@ -177,6 +188,13 @@ TEST_P(PlanEquivalenceTest, Table2ReadAndTraversalShapes) {
       {"v.both", Traversal::V(p_[1]).Both()},
       {"v.outE(knows)", Traversal::V(p_[0]).OutE(knows)},
       {"labels", Traversal::V(post_).OutE().Label()},
+      {"v.bothE.label", Traversal::V(p_[1]).BothE().Label()},
+      {"v.inE(knows).label", Traversal::V(p_[2]).InE(knows).Label()},
+      {"v.bothE.label.dedup", Traversal::V(p_[1]).BothE().Label().Dedup()},
+      // The fused label walk keeps ExpandE's row order, so a Limit picks
+      // the same labels under both policies.
+      {"v.bothE.label.limit(2)", Traversal::V(p_[1]).BothE().Label().Limit(2)},
+      {"v.outE.label.limit(2)", Traversal::V(p_[0]).OutE().Label().Limit(2)},
       {"values", Traversal::V(p_[3]).Values("name")},
       // Order-sensitive subsets: the Limit guard keeps the rewrites off,
       // so both policies must select the exact same elements.
@@ -318,6 +336,71 @@ TEST(PlanExplainTest, ConflatedRewritesFireOnlyForConflatedPolicy) {
                 .value(),
             "CountSink\n"
             "  VertexScan\n");
+}
+
+TEST(PlanExplainTest, ConflatedFusesEdgeExpansionWithLabel) {
+  // xE().label() runs as one adjacency pass under the conflated policy…
+  Traversal q26 = Traversal::V(7).OutE(std::string("knows")).Label().Dedup();
+  EXPECT_EQ(q26.ExplainPlan(QueryExecution::kConflated).value(),
+            "Dedup\n"
+            "  ExpandELabel(out, label=knows)\n"
+            "    VertexLookup(id=7)\n");
+  Traversal q27 = Traversal::V(Bound{}).BothE().Label().Dedup().Count();
+  EXPECT_EQ(q27.ExplainPlan(QueryExecution::kConflated).value(),
+            "CountSink\n"
+            "  Dedup\n"
+            "    ExpandELabel(both)\n"
+            "      VertexLookup(id=?)\n");
+  EXPECT_EQ(Traversal::V(Bound{})
+                .InE(Bound{})
+                .Label()
+                .Limit(2)
+                .ExplainPlan(QueryExecution::kConflated)
+                .value(),
+            "Limit(2)\n"
+            "  ExpandELabel(in, label=?)\n"
+            "    VertexLookup(id=?)\n");
+  // …and keeps the ExpandE -> LabelMap barrier under the step-wise one.
+  EXPECT_EQ(q27.ExplainPlan(QueryExecution::kStepWise).value(),
+            "CountSink\n"
+            "  Dedup\n"
+            "    LabelMap\n"
+            "      ExpandE(both)\n"
+            "        VertexLookup(id=?)\n");
+  // Only an edge expansion directly followed by label() fuses.
+  EXPECT_EQ(Traversal::V(7)
+                .OutE()
+                .HasLabel("knows")
+                .Label()
+                .ExplainPlan(QueryExecution::kConflated)
+                .value(),
+            "LabelMap\n"
+            "  LabelFilter(label=knows)\n"
+            "    ExpandE(out)\n"
+            "      VertexLookup(id=7)\n");
+
+  // The prepared Q.14/Q.15/Q.22-Q.24 shapes lower exactly as before
+  // under both policies.
+  for (QueryExecution policy :
+       {QueryExecution::kStepWise, QueryExecution::kConflated}) {
+    EXPECT_EQ(Traversal::V(Bound{}).ExplainPlan(policy).value(),
+              "VertexLookup(id=?)\n");
+    EXPECT_EQ(Traversal::E(Bound{}).ExplainPlan(policy).value(),
+              "EdgeLookup(id=?)\n");
+    EXPECT_EQ(Traversal::V(Bound{}).In().Count().ExplainPlan(policy).value(),
+              "CountSink\n"
+              "  Expand(in)\n"
+              "    VertexLookup(id=?)\n");
+    EXPECT_EQ(Traversal::V(Bound{}).Out().Count().ExplainPlan(policy).value(),
+              "CountSink\n"
+              "  Expand(out)\n"
+              "    VertexLookup(id=?)\n");
+    EXPECT_EQ(
+        Traversal::V(Bound{}).Both(Bound{}).Count().ExplainPlan(policy).value(),
+        "CountSink\n"
+        "  Expand(both, label=?)\n"
+        "    VertexLookup(id=?)\n");
+  }
 }
 
 TEST(PlanPolicyTest, EngineContractsMatchTable1) {

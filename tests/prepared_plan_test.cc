@@ -135,6 +135,41 @@ class PreparedPlanTest : public ::testing::TestWithParam<std::string> {
            return Traversal::V(p.id).BothE().Label().Dedup();
          },
          id_params({p_[1], p_[2], post_, p_[4]})});
+    // The fused xE().label() walk (conflated engines) under rebinding.
+    shapes.push_back(
+        {"V(?).bothE.label.dedup.count",
+         Traversal::V(Bound{}).BothE().Label().Dedup().Count(),
+         [](const PlanParams& p) {
+           return Traversal::V(p.id).BothE().Label().Dedup().Count();
+         },
+         id_params({p_[1], p_[2], post_, p_[4], 999999})});
+    shapes.push_back(
+        {"V(?).bothE.label.limit(2)",
+         Traversal::V(Bound{}).BothE().Label().Limit(2),
+         [](const PlanParams& p) {
+           return Traversal::V(p.id).BothE().Label().Limit(2);
+         },
+         id_params({p_[1], p_[0], post_, p_[4]})});
+    {
+      Shape in_e{"V(?).inE(?).label",
+                 Traversal::V(Bound{}).InE(Bound{}).Label(),
+                 [](const PlanParams& p) {
+                   return Traversal::V(p.id).InE(p.label).Label();
+                 },
+                 {}};
+      struct Pick {
+        VertexId id;
+        const char* label;
+      };
+      for (const Pick& pick : {Pick{p_[2], "knows"}, Pick{p_[1], "hasCreator"},
+                               Pick{p_[1], "nolabel"}, Pick{tag_, "hasTag"}}) {
+        PlanParams p;
+        p.id = pick.id;
+        p.label = pick.label;
+        in_e.iterations.push_back(std::move(p));
+      }
+      shapes.push_back(std::move(in_e));
+    }
     {
       Shape has{"V().has(name,?).count",
                 Traversal::V().Has("name", Bound{}).Count(),
@@ -210,6 +245,17 @@ TEST_P(PreparedPlanTest, RepeatedRunsAndReboundParamsMatchRebuildGolden) {
       ASSERT_TRUE(out.ok()) << shape.name;
       EXPECT_EQ(out->counted ? out->count : out->rows.size(),
                 Golden(shape, params, *session_))
+          << shape.name;
+      if (out->kind != query::RowKind::kValue) continue;
+      // Value rows: the same labels in the same order as the rebuilt
+      // plan (the lowering is identical, only the binding differs).
+      std::vector<std::string> prepared_values(out->values.begin(),
+                                               out->values.end());
+      auto rebuilt = shape.rebuild(params).Execute(*engine_, *session_, never_);
+      ASSERT_TRUE(rebuilt.ok()) << shape.name << ": " << rebuilt.status();
+      EXPECT_EQ(prepared_values, std::vector<std::string>(
+                                     rebuilt->values.begin(),
+                                     rebuilt->values.end()))
           << shape.name;
     }
   }

@@ -201,6 +201,54 @@ TEST_P(RobustnessEngineTest, SessionSurvivesDeadlineAndMemoryTrips) {
   EXPECT_EQ(again->rows.size(), expect_rows);
 }
 
+// The fused xE().label() operator interns each new label into the
+// session's value pool and charges the growth. Under the conflated
+// lowering of V(hub).bothE().label().count() it is the only operator
+// that charges at all (the lookup source and the count sink charge
+// nothing, and nothing is materialized), so a budget trip there must
+// come from inside the fused walk — on every engine's ForEachEdgeLabel.
+TEST_P(RobustnessEngineTest, FusedEdgeLabelWalkTripsBudgetThenRecovers) {
+  auto opened = OpenEngine(GetParam(), EngineOptions{});
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  GraphEngine& engine = **opened;
+  constexpr uint64_t kLabels = 64;
+  VertexId hub = engine.AddVertex("hub", {}).value();
+  for (uint64_t i = 0; i < kLabels; ++i) {
+    VertexId leaf = engine.AddVertex("leaf", {}).value();
+    std::string label = "label-" + std::to_string(i);
+    ASSERT_TRUE(engine.AddEdge(hub, leaf, label, {}).ok());
+    ASSERT_TRUE(engine.AddEdge(leaf, hub, label, {}).ok());
+  }
+
+  auto plan = Traversal::V(hub).BothE().Label().Count().Lower(
+      QueryExecution::kConflated);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_NE(plan->Explain().find("ExpandELabel(both)"), std::string::npos)
+      << plan->Explain();
+  auto distinct = Traversal::V(hub).BothE().Label().Dedup().Count().Lower(
+      QueryExecution::kConflated);
+  ASSERT_TRUE(distinct.ok()) << distinct.status();
+
+  // A fresh session: its pool is empty, so the first labels all charge
+  // (~56 bytes each) and a 1 KiB budget trips partway through the walk.
+  auto session = engine.CreateSession();
+  ResourceGovernor budget({std::chrono::nanoseconds(0), 1024});
+  auto oom = plan->Run(engine, *session, budget.token());
+  ASSERT_FALSE(oom.ok());
+  EXPECT_TRUE(oom.status().IsResourceExhausted()) << oom.status();
+  EXPECT_TRUE(budget.memory_exhausted());
+  EXPECT_NE(oom.status().message().find("budget"), std::string::npos);
+
+  // The same session then reproduces the golden answers.
+  session->BeginQuery();
+  auto again = plan->Run(engine, *session, CancelToken());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->count, 2 * kLabels);
+  auto labels = distinct->Run(engine, *session, CancelToken());
+  ASSERT_TRUE(labels.ok()) << labels.status();
+  EXPECT_EQ(labels->count, kLabels);
+}
+
 // ---------------------------------------------------------------------
 // Per-engine early stop: every scan entry point observes a cancelled
 // token promptly and returns the typed status instead of finishing the
