@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the engine primitives themselves
-// (no cost model): AddVertex/AddEdge, id lookup, neighborhood expansion —
-// the honest in-process data-structure costs under every figure.
+// (no cost model): AddVertex/AddEdge, vertex and edge id lookup,
+// neighborhood expansion — the honest in-process data-structure costs
+// under every figure.
 //
 // Accepts the suite-wide --json=<path> flag (emitting BENCH_engines.json,
 // archived by CI like the other micro benches) by translating it into
@@ -74,6 +75,20 @@ void BM_EngineGetVertex(benchmark::State& state, const std::string& name) {
   state.SetItemsProcessed(state.iterations());
 }
 
+// g.E(id) by id: edges drawn uniformly, so hub edges weigh by their share
+// of the graph (a per-row scan would show up here on hub-heavy mico).
+void BM_EngineGetEdge(benchmark::State& state, const std::string& name) {
+  auto engine = FreshEngine(name);
+  auto mapping = engine->BulkLoad(SmallGraph()).value();
+  auto session = engine->CreateSession();
+  Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->GetEdge(
+        *session, mapping.edge_ids[rng.Uniform(mapping.edge_ids.size())]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_EngineNeighbors(benchmark::State& state, const std::string& name) {
   auto engine = FreshEngine(name);
   auto mapping = engine->BulkLoad(SmallGraph()).value();
@@ -92,6 +107,7 @@ void BM_EngineNeighbors(benchmark::State& state, const std::string& name) {
   BENCHMARK_CAPTURE(BM_EngineAddVertex, engine_name, #engine_name);      \
   BENCHMARK_CAPTURE(BM_EngineAddEdge, engine_name, #engine_name);        \
   BENCHMARK_CAPTURE(BM_EngineGetVertex, engine_name, #engine_name);      \
+  BENCHMARK_CAPTURE(BM_EngineGetEdge, engine_name, #engine_name);        \
   BENCHMARK_CAPTURE(BM_EngineNeighbors, engine_name, #engine_name)
 
 ENGINE_BENCH(neo19);

@@ -63,11 +63,10 @@ const ColEngine::Row* ColEngine::FetchRowBatched(QuerySession& session,
 
 ColEngine::AdjEntry* ColEngine::FindOutEntry(EdgeId e) {
   Row* row = rows_.Get(SrcOf(e));
-  if (row == nullptr) return nullptr;
-  for (AdjEntry& entry : row->adj) {
-    if (entry.out && entry.edge == e && !entry.tombstone) return &entry;
-  }
-  return nullptr;
+  if (row == nullptr || LocalOf(e) >= row->adj.size()) return nullptr;
+  AdjEntry& entry = row->adj[LocalOf(e)];
+  if (!entry.out || entry.edge != e || entry.tombstone) return nullptr;
+  return &entry;
 }
 
 const ColEngine::AdjEntry* ColEngine::FindOutEntry(EdgeId e) const {
@@ -98,8 +97,13 @@ Result<EdgeId> ColEngine::AddEdge(VertexId src, VertexId dst,
   Row* src_row = rows_.Get(src);
   if (src_row == nullptr) return Status::NotFound("edge endpoint not found");
   if (!rows_.Contains(dst)) return Status::NotFound("edge endpoint not found");
+  if (src_row->adj.size() >= kMaxRowEntries) {
+    return Status::OutOfRange("titan row " + std::to_string(src) +
+                              " is full: edge ids address at most " +
+                              std::to_string(kMaxRowEntries) + " entries");
+  }
   uint32_t label_id = labels_.Intern(label);
-  EdgeId id = PackEdgeId(src, src_row->next_local++);
+  EdgeId id = PackEdgeId(src, src_row->adj.size());
   AdjEntry out;
   out.label = label_id;
   out.out = true;
@@ -114,7 +118,6 @@ Result<EdgeId> ColEngine::AddEdge(VertexId src, VertexId dst,
   in.other = src;
   in.edge = id;
   dst_row->adj.push_back(std::move(in));
-  ++edge_count_;
   return id;
 }
 
@@ -131,6 +134,14 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
   std::vector<Row> rows(nv);
   std::vector<uint32_t> degree(nv, 0);
   for (const auto& e : data.edges) {
+    // degree[e.src] is the position e's out entry will take, so this
+    // refuses exactly the edges AddEdge would, before anything is mutated.
+    if (degree[e.src] >= kMaxRowEntries) {
+      return Status::OutOfRange("titan row for vertex " +
+                                std::to_string(e.src) +
+                                " is full: edge ids address at most " +
+                                std::to_string(kMaxRowEntries) + " entries");
+    }
     ++degree[e.src];
     ++degree[e.dst];
   }
@@ -148,7 +159,7 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
   for (const auto& e : data.edges) {
     Row& src_row = rows[e.src];
     uint32_t label_id = labels_.Intern(e.label);
-    EdgeId id = PackEdgeId(base + e.src, src_row.next_local++);
+    EdgeId id = PackEdgeId(base + e.src, src_row.adj.size());
     AdjEntry& out = src_row.adj.emplace_back();
     out.label = label_id;
     out.other = base + e.dst;
@@ -159,7 +170,6 @@ Result<LoadMapping> ColEngine::BulkLoadNative(const GraphData& data) {
     in.out = false;
     in.other = base + e.src;
     in.edge = id;
-    ++edge_count_;
     mapping.edge_ids.push_back(id);
   }
   rows_.Reserve(rows_.size() + nv);
@@ -285,55 +295,49 @@ Result<std::vector<EdgeId>> ColEngine::FindEdgesByProperty(QuerySession& /*sessi
   return out;
 }
 
-Status ColEngine::RemoveEdgeInternal(EdgeId e, bool charge) {
-  if (charge && backend_.enabled) SpinFor(tombstone_write_us_);
-  Row* src_row = rows_.Get(SrcOf(e));
-  if (src_row == nullptr) return Status::NotFound("edge not found");
-  AdjEntry* out_entry = nullptr;
-  for (AdjEntry& entry : src_row->adj) {
-    if (entry.out && entry.edge == e && !entry.tombstone) {
-      out_entry = &entry;
-      break;
-    }
-  }
+Status ColEngine::RemoveEdge(EdgeId e) {
+  if (backend_.enabled) SpinFor(tombstone_write_us_);
+  AdjEntry* out_entry = FindOutEntry(e);
   if (out_entry == nullptr) return Status::NotFound("edge not found");
-  VertexId dst = out_entry->other;
   out_entry->tombstone = true;
   out_entry->eprops.clear();
-  if (Row* dst_row = rows_.Get(dst)) {
-    for (AdjEntry& entry : dst_row->adj) {
-      if (!entry.out && entry.edge == e && !entry.tombstone) {
-        entry.tombstone = true;
-        break;
-      }
+  TombstoneInEntry(out_entry->other, e);
+  return Status::OK();
+}
+
+void ColEngine::TombstoneInEntry(VertexId dst, EdgeId e) {
+  // The in entry's position in the destination row is not recorded
+  // anywhere (AdjEntry has no room for it), so this is a scan of dst's row.
+  Row* dst_row = rows_.Get(dst);
+  if (dst_row == nullptr) return;
+  for (AdjEntry& entry : dst_row->adj) {
+    if (!entry.out && entry.edge == e && !entry.tombstone) {
+      entry.tombstone = true;
+      return;
     }
   }
-  --edge_count_;
-  return Status::OK();
 }
 
 Status ColEngine::RemoveVertex(VertexId v) {
   if (backend_.enabled) SpinFor(tombstone_write_us_);
   Row* row = rows_.Get(v);
   if (row == nullptr) return Status::NotFound("vertex not found");
-  // Tombstone every incident edge (mirrored entries included).
-  std::vector<EdgeId> incident;
+  // v's own row, self-loops included, is erased below; what remains is
+  // the mirror of each live entry in the other endpoint's row. An in
+  // entry's mirror is the out entry its id addresses (O(1)); an out
+  // entry's mirror takes TombstoneInEntry's scan of the neighbour's row.
   for (const AdjEntry& entry : row->adj) {
-    if (!entry.tombstone) incident.push_back(entry.edge);
+    if (entry.tombstone || entry.other == v) continue;
+    if (entry.out) {
+      TombstoneInEntry(entry.other, entry.edge);
+    } else if (AdjEntry* mirror = FindOutEntry(entry.edge)) {
+      mirror->tombstone = true;
+      mirror->eprops.clear();
+    }
   }
-  std::sort(incident.begin(), incident.end());
-  incident.erase(std::unique(incident.begin(), incident.end()),
-                 incident.end());
-  for (EdgeId e : incident) {
-    RemoveEdgeInternal(e, /*charge=*/false).ok();
-  }
-  for (const auto& [k, val] : rows_.Get(v)->props) IndexErase(k, val, v);
+  for (const auto& [k, val] : row->props) IndexErase(k, val, v);
   rows_.Erase(v);
   return Status::OK();
-}
-
-Status ColEngine::RemoveEdge(EdgeId e) {
-  return RemoveEdgeInternal(e, /*charge=*/true);
 }
 
 Status ColEngine::RemoveVertexProperty(VertexId v, std::string_view name) {

@@ -133,7 +133,14 @@ class ColEngine : public GraphEngine {
   Result<LoadMapping> BulkLoadNative(const GraphData& data) override;
 
  private:
+  // An edge id is (source vertex, position of its out entry in the source
+  // row), so g.E(id) is one row fetch plus one column read, as in Titan,
+  // whose edge ids carry the out-vertex. Rows only ever append and
+  // tombstone entries, so a position stays valid for the edge's lifetime.
+  // A row therefore holds at most kMaxRowEntries entries (in, out and
+  // tombstoned alike); AddEdge and BulkLoadNative refuse to exceed it.
   static constexpr int kLocalBits = 20;
+  static constexpr uint64_t kMaxRowEntries = uint64_t{1} << kLocalBits;
   static EdgeId PackEdgeId(VertexId src, uint64_t local) {
     return (src << kLocalBits) | local;
   }
@@ -154,7 +161,6 @@ class ColEngine : public GraphEngine {
     uint32_t label = 0;
     PropertyMap props;
     std::vector<AdjEntry> adj;
-    uint64_t next_local = 0;
   };
 
   // Point-lookup row access through the row-key index; the read charge is
@@ -168,6 +174,7 @@ class ColEngine : public GraphEngine {
   static constexpr uint64_t kReadBatch = 64;
   const Row* FetchRowBatched(QuerySession& session, VertexId v) const;
 
+  // The live out entry of e: a bounds check plus adj[LocalOf(e)].
   AdjEntry* FindOutEntry(EdgeId e);
   const AdjEntry* FindOutEntry(EdgeId e) const;
 
@@ -180,7 +187,8 @@ class ColEngine : public GraphEngine {
 
   void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
   void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);
-  Status RemoveEdgeInternal(EdgeId e, bool charge);
+  // Tombstones the live in entry of e in dst's row, if any.
+  void TombstoneInEntry(VertexId dst, EdgeId e);
 
   bool v10_;
   CostModel backend_;
@@ -189,7 +197,6 @@ class ColEngine : public GraphEngine {
   HashIndex<VertexId, Row> rows_;  // row-key index
   Dictionary labels_;
   uint64_t next_vertex_ = 0;
-  uint64_t edge_count_ = 0;
 
   std::map<std::string, BTree<PropertyValue, VertexId>, std::less<>> indexes_;
 };

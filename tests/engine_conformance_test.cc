@@ -611,6 +611,267 @@ TEST_P(EngineTest, EdgeLabelVisitorMatchesEdgeVisitorSequence) {
   EXPECT_EQ(visits, 0u);
 }
 
+// --- edge ids -------------------------------------------------------------
+
+struct RefEdge {
+  VertexId src;
+  VertexId dst;
+  std::string label;
+};
+
+// Every live edge id a ScanEdges walk yields, with its ends.
+std::map<EdgeId, EdgeEnds> ScannedEdges(const GraphEngine& engine,
+                                        QuerySession& session) {
+  std::map<EdgeId, EdgeEnds> edges;
+  CancelToken never;
+  EXPECT_TRUE(engine
+                  .ScanEdges(session, never,
+                             [&](const EdgeEnds& e) {
+                               EXPECT_TRUE(edges.emplace(e.id, e).second)
+                                   << "edge " << e.id << " scanned twice";
+                               return true;
+                             })
+                  .ok());
+  return edges;
+}
+
+// Edge ids must address their own edge however the edge arrived (bulk
+// load or AddEdge) and whatever sits around it in the engine's storage:
+// a hub whose incident edges interleave in and out, self-loops and
+// parallel edges, some removed again through the writer.
+TEST_P(EngineTest, EdgeIdsResolveToTheirOwnEdge) {
+  GraphData data;
+  for (int i = 0; i < 6; ++i) data.vertices.push_back({"n", {}});
+  auto edge = [&](uint64_t src, uint64_t dst, std::string label,
+                  int64_t w = -1) {
+    PropertyMap props;
+    if (w >= 0) props.emplace_back("w", PropertyValue(w));
+    data.edges.push_back({src, dst, std::move(label), std::move(props)});
+  };
+  // Vertex 0 is the hub.
+  edge(0, 1, "a", 1);
+  edge(2, 0, "b");
+  edge(0, 0, "loop", 2);
+  edge(0, 2, "a");
+  edge(3, 0, "a", 3);
+  edge(0, 3, "b");
+  edge(0, 3, "b", 4);  // parallel
+  edge(1, 0, "c");
+  edge(0, 0, "loop");
+  edge(4, 5, "a", 5);
+  edge(2, 2, "loop");  // a neighbour's own self-loop
+  edge(5, 0, "b");
+  edge(0, 4, "c", 6);
+  auto mapping = engine_->BulkLoad(data);
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+  const std::vector<VertexId>& vid = mapping->vertex_ids;
+  const VertexId hub = vid[0];
+
+  std::map<EdgeId, RefEdge> ref;
+  for (size_t i = 0; i < data.edges.size(); ++i) {
+    const auto& e = data.edges[i];
+    ref[mapping->edge_ids[i]] = {vid[e.src], vid[e.dst], e.label};
+  }
+  auto add = [&](uint64_t src, uint64_t dst, const std::string& label) {
+    auto id = engine_->AddEdge(vid[src], vid[dst], label, {});
+    EXPECT_TRUE(id.ok()) << id.status();
+    if (!id.ok()) return EdgeId{0};
+    ref[*id] = {vid[src], vid[dst], label};
+    return *id;
+  };
+  EdgeId added_out = add(0, 5, "a");
+  add(5, 0, "a");
+  EdgeId added_loop = add(0, 0, "c");
+  add(1, 0, "b");
+  add(2, 3, "c");
+  add(0, 1, "a");
+
+  std::vector<EdgeId> removed = {mapping->edge_ids[1], mapping->edge_ids[2],
+                                 mapping->edge_ids[6], added_out, added_loop};
+  session_.reset();  // the writer drains pinned sessions before applying
+  {
+    GraphWriter writer(engine_.get());
+    WriteBatch batch;
+    for (EdgeId e : removed) batch.RemoveEdge(EdgeRef(e));
+    auto receipt = writer.Commit(batch);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  session_ = engine_->CreateSession();
+  for (EdgeId e : removed) ref.erase(e);
+
+  // Every scanned id resolves to its own ends and label.
+  std::map<EdgeId, EdgeEnds> scanned = ScannedEdges(*engine_, *session_);
+  ASSERT_EQ(scanned.size(), ref.size());
+  for (const auto& [id, want] : ref) {
+    ASSERT_EQ(scanned.count(id), 1u) << "edge " << id << " not scanned";
+    EXPECT_EQ(scanned[id].src, want.src);
+    EXPECT_EQ(scanned[id].dst, want.dst);
+    EXPECT_EQ(scanned[id].label, want.label);
+    auto ends = engine_->GetEdgeEnds(*session_, id);
+    ASSERT_TRUE(ends.ok()) << ends.status();
+    EXPECT_EQ(ends->id, id);
+    EXPECT_EQ(ends->src, want.src) << "edge " << id;
+    EXPECT_EQ(ends->dst, want.dst) << "edge " << id;
+    EXPECT_EQ(ends->label, want.label) << "edge " << id;
+    auto rec = engine_->GetEdge(*session_, id);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    EXPECT_EQ(rec->id, id);
+    EXPECT_EQ(rec->src, want.src) << "edge " << id;
+    EXPECT_EQ(rec->dst, want.dst) << "edge " << id;
+    EXPECT_EQ(rec->label, want.label) << "edge " << id;
+  }
+
+  // A distinct value per edge: a write landing on a neighbouring slot
+  // would leave some edge holding another edge's value. Then dropping it
+  // from every other edge must leave the rest, and the loaded "w", alone.
+  std::map<EdgeId, int64_t> tag;
+  for (const auto& [id, want] : ref) {
+    tag[id] = static_cast<int64_t>(tag.size()) + 100;
+    ASSERT_TRUE(
+        engine_->SetEdgeProperty(id, "tag", PropertyValue(tag[id])).ok());
+  }
+  bool drop = false;
+  std::set<EdgeId> dropped;
+  for (const auto& [id, want] : ref) {
+    if ((drop = !drop)) {
+      ASSERT_TRUE(engine_->RemoveEdgeProperty(id, "tag").ok());
+      dropped.insert(id);
+    }
+  }
+  std::map<EdgeId, int64_t> loaded_w;
+  for (size_t i = 0; i < data.edges.size(); ++i) {
+    if (const PropertyValue* w = FindProperty(data.edges[i].properties, "w")) {
+      loaded_w[mapping->edge_ids[i]] = w->int_value();
+    }
+  }
+  for (const auto& [id, want] : ref) {
+    auto rec = engine_->GetEdge(*session_, id);
+    ASSERT_TRUE(rec.ok()) << rec.status();
+    const PropertyValue* t = FindProperty(rec->properties, "tag");
+    if (dropped.count(id) != 0) {
+      EXPECT_EQ(t, nullptr) << "edge " << id;
+    } else {
+      ASSERT_NE(t, nullptr) << "edge " << id;
+      EXPECT_EQ(t->int_value(), tag[id]) << "edge " << id;
+    }
+    const PropertyValue* w = FindProperty(rec->properties, "w");
+    auto lw = loaded_w.find(id);
+    if (lw == loaded_w.end()) {
+      EXPECT_EQ(w, nullptr) << "edge " << id;
+    } else {
+      ASSERT_NE(w, nullptr) << "edge " << id;
+      EXPECT_EQ(w->int_value(), lw->second) << "edge " << id;
+    }
+  }
+
+  // Removed ids and ids no edge was ever given resolve to nothing. The
+  // successor of each live id lands next to a live edge in an id space
+  // that packs storage positions.
+  std::set<EdgeId> dead(removed.begin(), removed.end());
+  for (const auto& [id, want] : ref) dead.insert(id + 1);
+  dead.insert(ref.rbegin()->first + 17);
+  dead.insert(EdgeId{1} << 40);
+  dead.insert(~EdgeId{0});
+  for (const auto& [id, want] : ref) dead.erase(id);
+  for (EdgeId e : dead) {
+    EXPECT_TRUE(engine_->GetEdge(*session_, e).status().IsNotFound())
+        << "edge " << e;
+    EXPECT_TRUE(engine_->GetEdgeEnds(*session_, e).status().IsNotFound())
+        << "edge " << e;
+    EXPECT_TRUE(engine_->SetEdgeProperty(e, "tag", PropertyValue(int64_t{0}))
+                    .IsNotFound())
+        << "edge " << e;
+    EXPECT_TRUE(engine_->RemoveEdgeProperty(e, "tag").IsNotFound())
+        << "edge " << e;
+  }
+
+  // Removing the hub leaves each former neighbour with exactly its edges
+  // that did not touch the hub.
+  session_.reset();
+  {
+    GraphWriter writer(engine_.get());
+    WriteBatch batch;
+    batch.RemoveVertex(VertexRef(hub));
+    auto receipt = writer.Commit(batch);
+    ASSERT_TRUE(receipt.ok()) << receipt.status();
+  }
+  session_ = engine_->CreateSession();
+  for (auto it = ref.begin(); it != ref.end();) {
+    it = it->second.src == hub || it->second.dst == hub ? ref.erase(it)
+                                                        : std::next(it);
+  }
+  EXPECT_EQ(engine_->CountEdges(*session_, never_).value(), ref.size());
+  EXPECT_EQ(ScannedEdges(*engine_, *session_).size(), ref.size());
+  for (size_t n = 1; n < vid.size(); ++n) {
+    const VertexId v = vid[n];
+    for (Direction dir : {Direction::kOut, Direction::kIn, Direction::kBoth}) {
+      std::multiset<EdgeId> want, got;
+      for (const auto& [id, e] : ref) {
+        bool out = e.src == v, in = e.dst == v;
+        if ((dir == Direction::kOut && out) || (dir == Direction::kIn && in) ||
+            (dir == Direction::kBoth && (out || in))) {
+          want.insert(id);
+        }
+      }
+      Status s = engine_->ForEachEdgeOf(*session_, v, dir, nullptr, never_,
+                                        [&](EdgeId e) {
+                                          got.insert(e);
+                                          return true;
+                                        });
+      ASSERT_TRUE(s.ok()) << s;
+      EXPECT_EQ(got, want) << "vertex " << n << " dir "
+                           << static_cast<int>(dir);
+    }
+  }
+}
+
+// titan packs an edge's position in its source row into the low 20 bits
+// of the edge id, so a row holds at most 2^20 entries. 2^19 self-loops
+// (two entries each) fill one row; the next edge out of it must be refused
+// with a typed error, not spill into the next vertex's ids. The native
+// loader must refuse exactly the same edges, before it mutates anything.
+TEST(TitanEdgeIdCapacityTest, FullRowRefusesOutEdges) {
+  constexpr uint64_t kRowEntries = uint64_t{1} << 20;
+  for (const char* name : {"titan05", "titan10"}) {
+    SCOPED_TRACE(name);
+    // Cost model off in both legs: this is 2^19 writes.
+    auto opened = OpenEngine(name, EngineOptions{},
+                             /*honor_cost_model_env=*/false);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    std::unique_ptr<GraphEngine> engine = std::move(opened).value();
+    CancelToken never;
+
+    GraphData data;
+    data.vertices = {{"hub", {}}, {"other", {}}};
+    data.edges.assign(kRowEntries / 2, {0, 0, "loop", {}});
+    data.edges.push_back({1, 0, "in", {}});   // an in entry still fits
+    data.edges.push_back({0, 1, "out", {}});  // the 2^20+1st entry
+    auto refused = engine->BulkLoad(data);
+    EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange)
+        << refused.status();
+    auto session = engine->CreateSession();
+    EXPECT_EQ(engine->CountVertices(*session, never).value(), 0u);
+    EXPECT_EQ(engine->CountEdges(*session, never).value(), 0u);
+
+    data.edges.pop_back();
+    auto mapping = engine->BulkLoad(data);
+    ASSERT_TRUE(mapping.ok()) << mapping.status();
+    const VertexId hub = mapping->vertex_ids[0];
+    const VertexId other = mapping->vertex_ids[1];
+    auto full = engine->AddEdge(hub, other, "out", {});
+    EXPECT_EQ(full.status().code(), StatusCode::kOutOfRange) << full.status();
+    EXPECT_TRUE(engine->AddEdge(other, hub, "in", {}).ok());
+    EXPECT_EQ(engine->CountEdges(*session, never).value(),
+              kRowEntries / 2 + 2);
+    // The last self-loop, at position 2^20 - 2, still resolves to itself.
+    auto ends = engine->GetEdgeEnds(*session, mapping->edge_ids[kRowEntries / 2 - 1]);
+    ASSERT_TRUE(ends.ok()) << ends.status();
+    EXPECT_EQ(ends->src, hub);
+    EXPECT_EQ(ends->dst, hub);
+    EXPECT_EQ(ends->label, "loop");
+  }
+}
+
 // --- BFS / shortest path over the visitor rewrite -------------------------
 
 // Reference adjacency built independently of the visitors, via ScanEdges.
