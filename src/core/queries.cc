@@ -18,7 +18,7 @@ using query::ShortestPath;
 using query::Traversal;
 
 Result<const PreparedPlan*> PreparedQueryCache::Get(
-    int key, const std::function<query::Traversal()>& build) const {
+    int key, FunctionRef<query::Traversal()> build) const {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = plans_.find(key);
@@ -81,7 +81,7 @@ constexpr int kPathMaxDepth = 30;
 /// no per-iteration traversal rebuild, no re-lowering, and the run
 /// collects into session-scratch buffers (see plan.h).
 Result<QueryResult> RunPreparedCount(
-    QueryContext& ctx, int key, const std::function<Traversal()>& build) {
+    QueryContext& ctx, int key, FunctionRef<Traversal()> build) {
   GDB_ASSIGN_OR_RETURN(const PreparedPlan* plan,
                        ctx.prepared_cache().Get(key, build));
   GDB_ASSIGN_OR_RETURN(uint64_t n,

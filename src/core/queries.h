@@ -52,7 +52,7 @@ class PreparedQueryCache {
 
   /// The prepared plan for `key`, lowering `build()` on first use.
   Result<const query::PreparedPlan*> Get(
-      int key, const std::function<query::Traversal()>& build) const;
+      int key, FunctionRef<query::Traversal()> build) const;
 
  private:
   const GraphEngine* engine_;

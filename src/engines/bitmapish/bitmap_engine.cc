@@ -320,7 +320,7 @@ Status BitmapEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal ----------------------------------------------------------
 
 Status BitmapEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   Status status = Status::OK();
   vertices_.ForEach([&](uint64_t oid) {
     if (cancel.Expired()) {
@@ -334,7 +334,7 @@ Status BitmapEngine::ScanVertices(QuerySession& /*session*/,
 
 Status BitmapEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   Status status = Status::OK();
   edges_.ForEach([&](uint64_t oid) {
     if (cancel.Expired()) {
@@ -354,7 +354,7 @@ Status BitmapEngine::ScanEdges(QuerySession& /*session*/,
 Status BitmapEngine::WalkIncident(VertexId v, Direction dir,
                                   const std::string* label,
                                   const CancelToken& cancel,
-                                  const std::function<bool(EdgeId)>& fn) const {
+                                  FunctionRef<bool(EdgeId)> fn) const {
   const Bitmap* label_bm = nullptr;
   if (label != nullptr) {
     uint32_t label_id = labels_.Lookup(*label);
@@ -403,13 +403,13 @@ Status BitmapEngine::WalkIncident(VertexId v, Direction dir,
 Status BitmapEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
                                    const std::string* label,
                                    const CancelToken& cancel,
-                                   const std::function<bool(EdgeId)>& fn) const {
+                                   FunctionRef<bool(EdgeId)> fn) const {
   return WalkIncident(v, dir, label, cancel, fn);
 }
 
 Status BitmapEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   return WalkIncident(v, dir, label, cancel, [&](EdgeId e) {
     uint64_t src = *edge_src_.Get(e);
     return fn(src == v ? *edge_dst_.Get(e) : src);

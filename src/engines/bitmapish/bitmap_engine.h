@@ -82,19 +82,19 @@ class BitmapEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   /// Streams the incidence bitmaps in ascending-oid order; a label filter
   /// is a Contains probe against the label's edge bitmap (the bitwise
   /// side of the layout), not an edge-record fetch.
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   /// Bound on vertex oids only: the unified oid counter also numbers
   /// edges, which would inflate dense visited structures by |E|.
@@ -139,7 +139,7 @@ class BitmapEngine : public GraphEngine {
   // out/in bitmaps, self-loops emitted once via the out bitmap.
   Status WalkIncident(VertexId v, Direction dir, const std::string* label,
                       const CancelToken& cancel,
-                      const std::function<bool(EdgeId)>& fn) const;
+                      FunctionRef<bool(EdgeId)> fn) const;
 
   void SetAttr(uint64_t oid, std::string_view name, const PropertyValue& v);
   bool EraseAttr(uint64_t oid, std::string_view name);

@@ -366,7 +366,7 @@ Status ColEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal ----------------------------------------------------------
 
 Status ColEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   Status status = Status::OK();
   rows_.ForEach([&](const VertexId& id, const Row&) {
     if (cancel.Expired()) {
@@ -380,7 +380,7 @@ Status ColEngine::ScanVertices(QuerySession& /*session*/,
 
 Status ColEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   Status status = Status::OK();
   rows_.ForEach([&](const VertexId& id, const Row& row) {
     for (const AdjEntry& entry : row.adj) {
@@ -403,7 +403,7 @@ Status ColEngine::ScanEdges(QuerySession& /*session*/,
 
 Status ColEngine::WalkAdj(QuerySession& session, VertexId v, Direction dir,
                           const std::string* label, const CancelToken& cancel,
-                          const std::function<bool(const AdjEntry&)>& fn) const {
+                          FunctionRef<bool(const AdjEntry&)> fn) const {
   uint32_t label_id =
       label != nullptr ? labels_.Lookup(*label) : Dictionary::kNoId;
   if (label != nullptr && label_id == Dictionary::kNoId) {
@@ -429,7 +429,7 @@ Status ColEngine::WalkAdj(QuerySession& session, VertexId v, Direction dir,
 Status ColEngine::ForEachEdgeOf(QuerySession& session, VertexId v,
                                 Direction dir, const std::string* label,
                                 const CancelToken& cancel,
-                                const std::function<bool(EdgeId)>& fn) const {
+                                FunctionRef<bool(EdgeId)> fn) const {
   return WalkAdj(session, v, dir, label, cancel,
                  [&](const AdjEntry& entry) { return fn(entry.edge); });
 }
@@ -437,7 +437,7 @@ Status ColEngine::ForEachEdgeOf(QuerySession& session, VertexId v,
 Status ColEngine::ForEachNeighbor(QuerySession& session, VertexId v,
                                   Direction dir, const std::string* label,
                                   const CancelToken& cancel,
-                                  const std::function<bool(VertexId)>& fn)
+                                  FunctionRef<bool(VertexId)> fn)
     const {
   return WalkAdj(session, v, dir, label, cancel,
                  [&](const AdjEntry& entry) { return fn(entry.other); });
@@ -446,7 +446,7 @@ Status ColEngine::ForEachNeighbor(QuerySession& session, VertexId v,
 Status ColEngine::ForEachEdgeLabel(
     QuerySession& session, VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel,
-    const std::function<bool(std::string_view)>& fn) const {
+    FunctionRef<bool(std::string_view)> fn) const {
   return WalkAdj(session, v, dir, label, cancel, [&](const AdjEntry& entry) {
     return fn(labels_.Get(entry.label));
   });

@@ -93,21 +93,21 @@ class ColEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   /// Labels straight from the adjacency entries WalkAdj visits.
   Status ForEachEdgeLabel(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(std::string_view)>& fn) const override;
+      FunctionRef<bool(std::string_view)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override { return next_vertex_; }
 
@@ -183,7 +183,7 @@ class ColEngine : public GraphEngine {
   // emitted once via their out entry.
   Status WalkAdj(QuerySession& session, VertexId v, Direction dir,
                  const std::string* label, const CancelToken& cancel,
-                 const std::function<bool(const AdjEntry&)>& fn) const;
+                 FunctionRef<bool(const AdjEntry&)> fn) const;
 
   void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
   void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);

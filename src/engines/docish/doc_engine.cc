@@ -367,7 +367,7 @@ Status DocEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal --------------------------------------------------------------
 
 Status DocEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   rest_.ChargeCall();
   Status status = Status::OK();
   vertex_docs_.ForEach([&](const uint64_t& id, const std::string&) {
@@ -382,7 +382,7 @@ Status DocEngine::ScanVertices(QuerySession& /*session*/,
 
 Status DocEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   rest_.ChargeCall();
   Status status = Status::OK();
   // Architectural cost: every document is materialized through the AQL
@@ -419,7 +419,7 @@ Status DocEngine::ScanEdges(QuerySession& /*session*/,
 Status DocEngine::WalkIncident(
     QuerySession& session, VertexId v, Direction dir,
     const std::string* label, const CancelToken& cancel, bool want_other,
-    const std::function<bool(EdgeId, VertexId)>& fn) const {
+    FunctionRef<bool(EdgeId, VertexId)> fn) const {
   rest_.ChargeCall();  // one AQL round trip per neighborhood step
   if (const QueryFaultInjector* f = options().query_fault_injector) {
     GDB_RETURN_IF_ERROR(f->Intercept("DocEngine::WalkIncident"));
@@ -467,7 +467,7 @@ Status DocEngine::WalkIncident(
 Status DocEngine::ForEachEdgeOf(QuerySession& session, VertexId v,
                                 Direction dir, const std::string* label,
                                 const CancelToken& cancel,
-                                const std::function<bool(EdgeId)>& fn) const {
+                                FunctionRef<bool(EdgeId)> fn) const {
   return WalkIncident(session, v, dir, label, cancel, /*want_other=*/false,
                       [&](EdgeId e, VertexId) { return fn(e); });
 }
@@ -475,7 +475,7 @@ Status DocEngine::ForEachEdgeOf(QuerySession& session, VertexId v,
 Status DocEngine::ForEachNeighbor(QuerySession& session, VertexId v,
                                   Direction dir, const std::string* label,
                                   const CancelToken& cancel,
-                                  const std::function<bool(VertexId)>& fn)
+                                  FunctionRef<bool(VertexId)> fn)
     const {
   return WalkIncident(session, v, dir, label, cancel, /*want_other=*/true,
                       [&](EdgeId, VertexId other) { return fn(other); });

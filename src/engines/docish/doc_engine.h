@@ -83,20 +83,20 @@ class DocEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   /// The visitors stream over the endpoint hash index. The index stores
   /// only edge ids, so learning an edge's label or far endpoint forces a
   /// document parse per edge — the architectural cost of the
   /// self-contained-JSON layout, paid inside the visit.
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override { return next_vertex_; }
 
@@ -147,7 +147,7 @@ class DocEngine : public GraphEngine {
   Status WalkIncident(QuerySession& session, VertexId v, Direction dir,
                       const std::string* label, const CancelToken& cancel,
                       bool want_other,
-                      const std::function<bool(EdgeId, VertexId)>& fn) const;
+                      FunctionRef<bool(EdgeId, VertexId)> fn) const;
 
   CostModel rest_;
 

@@ -211,13 +211,13 @@ uint64_t NeoEngine::FindOrCreateGroup(VertexId v, uint32_t label, int role) {
 
 Status NeoEngine::WalkIncidence(
     VertexId v, const CancelToken& cancel,
-    const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const {
+    FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const {
   return WalkIncidenceFiltered(v, Dictionary::kNoId, cancel, fn);
 }
 
 Status NeoEngine::WalkIncidenceFiltered(
     VertexId v, uint32_t label_id, const CancelToken& cancel,
-    const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const {
+    FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const {
   if (!node_store_.IsLive(v)) return Status::NotFound("vertex not found");
   NodeRec n = ReadNode(v);
   auto walk_chain = [&](uint64_t head) -> Result<bool> {
@@ -829,7 +829,7 @@ Status NeoEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal ------------------------------------------------------
 
 Status NeoEngine::ScanVertices(QuerySession& /*session*/, const CancelToken& cancel,
-                               const std::function<bool(VertexId)>& fn) const {
+                               FunctionRef<bool(VertexId)> fn) const {
   for (uint64_t id = 0; id < node_store_.SlotCount(); ++id) {
     GDB_CHECK_CANCEL(cancel);
     if (node_store_.IsLive(id)) {
@@ -841,7 +841,7 @@ Status NeoEngine::ScanVertices(QuerySession& /*session*/, const CancelToken& can
 
 Status NeoEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   for (uint64_t id = 0; id < edge_store_.SlotCount(); ++id) {
     GDB_CHECK_CANCEL(cancel);
     if (!edge_store_.IsLive(id)) continue;
@@ -859,32 +859,22 @@ Status NeoEngine::ScanEdges(QuerySession& /*session*/,
 Status NeoEngine::WalkMatching(
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel,
-    const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const {
+    FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const {
   uint32_t label_id =
       label != nullptr ? labels_.Lookup(*label) : Dictionary::kNoId;
   if (label != nullptr && label_id == Dictionary::kNoId) {
     return Status::OK();  // unknown label: no edges
   }
   uint32_t group_hint = v30_ && label != nullptr ? label_id : Dictionary::kNoId;
-  // Single-pointer capture: a multi-reference [&] closure exceeds
-  // std::function's small-buffer size and would heap-allocate per call —
-  // visible as one allocation per hop on degree-1 vertices.
-  struct MatchCtx {
-    const std::string* label;
-    uint32_t label_id;
-    Direction dir;
-    const std::function<bool(EdgeId, int, const EdgeRec&)>& fn;
-  } match{label, label_id, dir, fn};
   return WalkIncidenceFiltered(
-      v, group_hint, cancel, [&match](EdgeId e, int role, const EdgeRec& rec) {
-        if (match.label != nullptr && rec.label != match.label_id) return true;
+      v, group_hint, cancel, [&](EdgeId e, int role, const EdgeRec& rec) {
+        if (label != nullptr && rec.label != label_id) return true;
         bool is_self_loop = rec.src == rec.dst;
         if (is_self_loop && role == 1) return true;  // emitted via src role
-        bool matches = match.dir == Direction::kBoth ||
-                       (match.dir == Direction::kOut && role == 0) ||
-                       (match.dir == Direction::kIn && role == 1) ||
-                       is_self_loop;
-        if (matches) return match.fn(e, role, rec);
+        bool matches = dir == Direction::kBoth ||
+                       (dir == Direction::kOut && role == 0) ||
+                       (dir == Direction::kIn && role == 1) || is_self_loop;
+        if (matches) return fn(e, role, rec);
         return true;
       });
 }
@@ -892,14 +882,14 @@ Status NeoEngine::WalkMatching(
 Status NeoEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
                                 const std::string* label,
                                 const CancelToken& cancel,
-                                const std::function<bool(EdgeId)>& fn) const {
+                                FunctionRef<bool(EdgeId)> fn) const {
   return WalkMatching(v, dir, label, cancel,
                       [&](EdgeId e, int, const EdgeRec&) { return fn(e); });
 }
 
 Status NeoEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   return WalkMatching(v, dir, label, cancel,
                       [&](EdgeId, int role, const EdgeRec& rec) {
                         return fn(role == 0 ? rec.dst : rec.src);

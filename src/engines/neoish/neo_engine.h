@@ -68,16 +68,16 @@ class NeoEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override {
     return node_store_.SlotCount();
@@ -145,7 +145,7 @@ class NeoEngine : public GraphEngine {
   // role, rec). fn returns false to stop. Handles both variants.
   Status WalkIncidence(
       VertexId v, const CancelToken& cancel,
-      const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const;
+      FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const;
 
   // Same, but in v30 mode restricts the walk to the (label, out/in)
   // relationship groups when label_id != Dictionary::kNoId (the typed
@@ -153,7 +153,7 @@ class NeoEngine : public GraphEngine {
   // filters in the caller.
   Status WalkIncidenceFiltered(
       VertexId v, uint32_t label_id, const CancelToken& cancel,
-      const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const;
+      FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const;
 
   // Streams the (edge, role, rec) occurrences matching (dir, label), with
   // self-loops emitted once via their src role — the single walk both
@@ -161,7 +161,7 @@ class NeoEngine : public GraphEngine {
   Status WalkMatching(
       VertexId v, Direction dir, const std::string* label,
       const CancelToken& cancel,
-      const std::function<bool(EdgeId, int, const EdgeRec&)>& fn) const;
+      FunctionRef<bool(EdgeId, int, const EdgeRec&)> fn) const;
 
   // Property chains --------------------------------------------------
   uint64_t BuildPropChain(const PropertyMap& props);

@@ -446,7 +446,7 @@ Status OrientEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal -------------------------------------------------------
 
 Status OrientEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   for (uint64_t id = 0; id < vertex_store_.LogicalCount(); ++id) {
     GDB_CHECK_CANCEL(cancel);
     if (vertex_store_.IsLive(id)) {
@@ -458,7 +458,7 @@ Status OrientEngine::ScanVertices(QuerySession& /*session*/,
 
 Status OrientEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   for (uint64_t c = 0; c < clusters_.size(); ++c) {
     const Cluster& cluster = clusters_[c];
     for (uint64_t local = 0; local < cluster.store.LogicalCount(); ++local) {
@@ -509,7 +509,7 @@ Result<std::pair<VertexId, VertexId>> OrientEngine::ReadEdgeEndpoints(
 Status OrientEngine::WalkIncident(
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel, bool want_other,
-    const std::function<bool(EdgeId, VertexId)>& fn) const {
+    FunctionRef<bool(EdgeId, VertexId)> fn) const {
   uint64_t cluster = kInvalidId;
   if (label != nullptr) {
     // Label filtering needs no edge-record read: the cluster id *is* the
@@ -556,14 +556,14 @@ Status OrientEngine::WalkIncident(
 Status OrientEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
                                    const std::string* label,
                                    const CancelToken& cancel,
-                                   const std::function<bool(EdgeId)>& fn) const {
+                                   FunctionRef<bool(EdgeId)> fn) const {
   return WalkIncident(v, dir, label, cancel, /*want_other=*/false,
                       [&](EdgeId e, VertexId) { return fn(e); });
 }
 
 Status OrientEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   return WalkIncident(v, dir, label, cancel, /*want_other=*/true,
                       [&](EdgeId, VertexId other) { return fn(other); });
 }
@@ -571,7 +571,7 @@ Status OrientEngine::ForEachNeighbor(QuerySession& /*session*/,
 Status OrientEngine::ForEachEdgeLabel(
     QuerySession& /*session*/, VertexId v, Direction dir,
     const std::string* label, const CancelToken& cancel,
-    const std::function<bool(std::string_view)>& fn) const {
+    FunctionRef<bool(std::string_view)> fn) const {
   // The cluster id is the label: no edge-record read beyond the one
   // kBoth's self-loop dedup already pays.
   return WalkIncident(v, dir, label, cancel, /*want_other=*/false,

@@ -63,25 +63,25 @@ class OrientEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   /// Streams the ridbag (embedded or external). Label filtering needs no
   /// edge-record read — the cluster id packed into the edge id *is* the
   /// label. Self-loop dedup and neighbor resolution decode only the two
   /// endpoint varints of the edge blob (no property materialization).
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   /// Labels from the per-label cluster of each ridbag entry.
   Status ForEachEdgeLabel(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(std::string_view)>& fn) const override;
+      FunctionRef<bool(std::string_view)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override {
     return vertex_store_.LogicalCount();
@@ -173,7 +173,7 @@ class OrientEngine : public GraphEngine {
   Status WalkIncident(
       VertexId v, Direction dir, const std::string* label,
       const CancelToken& cancel, bool want_other,
-      const std::function<bool(EdgeId, VertexId other)>& fn) const;
+      FunctionRef<bool(EdgeId, VertexId other)> fn) const;
 
   void IndexInsert(std::string_view prop, const PropertyValue& v, VertexId id);
   void IndexErase(std::string_view prop, const PropertyValue& v, VertexId id);

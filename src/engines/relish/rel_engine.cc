@@ -398,7 +398,7 @@ Status RelEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal ----------------------------------------------------------
 
 Status RelEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   for (uint64_t table = 0; table < vtables_.size(); ++table) {
     const VTable& t = vtables_[table];
     for (uint64_t row = 0; row < t.rows.size(); ++row) {
@@ -413,7 +413,7 @@ Status RelEngine::ScanVertices(QuerySession& /*session*/,
 
 Status RelEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   for (uint64_t table = 0; table < etables_.size(); ++table) {
     const ETable& t = etables_[table];
     for (uint64_t row = 0; row < t.rows.size(); ++row) {
@@ -433,7 +433,7 @@ Status RelEngine::ScanEdges(QuerySession& /*session*/,
 Status RelEngine::WalkIncident(
     VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel,
-    const std::function<bool(uint64_t, uint64_t)>& fn) const {
+    FunctionRef<bool(uint64_t, uint64_t)> fn) const {
   // The per-step backend round trip is where the emulated remote can
   // fail transiently.
   if (const QueryFaultInjector* f = options().query_fault_injector) {
@@ -454,50 +454,36 @@ Status RelEngine::WalkIncident(
       !vtables_[TableOf(v)].rows[RowOf(v)].live) {
     return Status::NotFound("vertex not found");
   }
-  // The scan callbacks are hoisted out of the table loop: constructing a
-  // std::function per table would cost two allocations per edge label on
-  // the unrestricted UNION ALL path (hundreds on the Freebase shapes).
   bool stop = false;       // fn asked to stop: a successful early-stop
   bool cancelled = false;  // the token expired mid-walk
-  uint64_t cur_table = 0;
-  const ETable* cur = nullptr;
-  const std::function<bool(const uint64_t&)> on_src = [&](const uint64_t& row) {
-    if (cancel.Expired()) {
-      cancelled = true;
-      return false;
-    }
-    if (!fn(cur_table, row)) {
-      stop = true;
-      return false;
-    }
-    return true;
-  };
-  const std::function<bool(const uint64_t&)> on_dst = [&](const uint64_t& row) {
-    // Self-loops already reported through the src index when kBoth.
-    if (dir == Direction::kBoth &&
-        cur->rows[row].src == cur->rows[row].dst) {
-      return true;
-    }
-    if (cancel.Expired()) {
-      cancelled = true;
-      return false;
-    }
-    if (!fn(cur_table, row)) {
-      stop = true;
-      return false;
-    }
-    return true;
-  };
-  for (uint64_t table = first; table < last && !stop && !cancelled; ++table) {
+  for (uint64_t table = first; table < last; ++table) {
     GDB_CHECK_CANCEL(cancel);
-    cur_table = table;
-    cur = &etables_[table];
+    const ETable& t = etables_[table];
+    auto on_src = [&](const uint64_t& row) {
+      if (cancel.Expired()) {
+        cancelled = true;
+        return false;
+      }
+      if (!fn(table, row)) {
+        stop = true;
+        return false;
+      }
+      return true;
+    };
+    auto on_dst = [&](const uint64_t& row) {
+      // Self-loops already reported through the src index when kBoth.
+      if (dir == Direction::kBoth && t.rows[row].src == t.rows[row].dst) {
+        return true;
+      }
+      return on_src(row);
+    };
     if (dir == Direction::kOut || dir == Direction::kBoth) {
-      cur->src_index.ScanKey(v, on_src);
+      t.src_index.ScanKey(v, on_src);
       if (stop || cancelled) break;
     }
     if (dir == Direction::kIn || dir == Direction::kBoth) {
-      cur->dst_index.ScanKey(v, on_dst);
+      t.dst_index.ScanKey(v, on_dst);
+      if (stop || cancelled) break;
     }
   }
   if (cancelled) return cancel.ToStatus();
@@ -507,7 +493,7 @@ Status RelEngine::WalkIncident(
 Status RelEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
                                 const std::string* label,
                                 const CancelToken& cancel,
-                                const std::function<bool(EdgeId)>& fn) const {
+                                FunctionRef<bool(EdgeId)> fn) const {
   return WalkIncident(v, dir, label, cancel,
                       [&](uint64_t table, uint64_t row) {
                         return fn(Pack(table, row));
@@ -516,7 +502,7 @@ Status RelEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction
 
 Status RelEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   return WalkIncident(v, dir, label, cancel,
                       [&](uint64_t table, uint64_t row) {
                         const ERow& r = etables_[table].rows[row];
@@ -527,7 +513,7 @@ Status RelEngine::ForEachNeighbor(QuerySession& /*session*/,
 Status RelEngine::ForEachEdgeLabel(
     QuerySession& /*session*/, VertexId v, Direction dir,
     const std::string* label, const CancelToken& cancel,
-    const std::function<bool(std::string_view)>& fn) const {
+    FunctionRef<bool(std::string_view)> fn) const {
   return WalkIncident(v, dir, label, cancel, [&](uint64_t table, uint64_t) {
     return fn(etables_[table].label);
   });

@@ -63,24 +63,24 @@ class RelEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   /// Streams FK-index probes: one table when label-restricted (the fast
   /// path), a UNION ALL over every edge table otherwise (the slow path
   /// the paper measures for BFS/SP/degree queries).
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   /// Labels from the edge table each FK-index probe lands in.
   Status ForEachEdgeLabel(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(std::string_view)>& fn) const override;
+      FunctionRef<bool(std::string_view)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   // VertexIdUpperBound stays 0: vertex ids pack (table, row) into sparse
   // 64-bit keys, so flat visited arrays would be pathologically large.
@@ -154,7 +154,7 @@ class RelEngine : public GraphEngine {
   Status WalkIncident(
       VertexId v, Direction dir, const std::string* label,
       const CancelToken& cancel,
-      const std::function<bool(uint64_t table, uint64_t row)>& fn) const;
+      FunctionRef<bool(uint64_t table, uint64_t row)> fn) const;
 
   std::vector<VTable> vtables_;
   std::vector<ETable> etables_;

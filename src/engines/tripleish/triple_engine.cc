@@ -499,7 +499,7 @@ Status TripleEngine::RemoveEdgeProperty(EdgeId e, std::string_view name) {
 // --- scans / traversal ----------------------------------------------------------
 
 Status TripleEngine::ScanVertices(QuerySession& /*session*/, 
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   cost_.ChargeRead();
   Status status = Status::OK();
   pos_.ScanRange({type_pred_, 0, 0}, {type_pred_, kMaxTerm, kMaxTerm},
@@ -516,7 +516,7 @@ Status TripleEngine::ScanVertices(QuerySession& /*session*/,
 
 Status TripleEngine::ScanEdges(QuerySession& /*session*/, 
     const CancelToken& cancel,
-    const std::function<bool(const EdgeEnds&)>& fn) const {
+    FunctionRef<bool(const EdgeEnds&)> fn) const {
   cost_.ChargeRead();
   Status status = Status::OK();
   pos_.ScanRange({to_pred_, 0, 0}, {to_pred_, kMaxTerm, kMaxTerm},
@@ -540,7 +540,7 @@ Status TripleEngine::ScanEdges(QuerySession& /*session*/,
 Status TripleEngine::WalkIncident(VertexId v, Direction dir,
                                   const std::string* label,
                                   const CancelToken& cancel,
-                                  const std::function<bool(EdgeId)>& fn) const {
+                                  FunctionRef<bool(EdgeId)> fn) const {
   cost_.ChargeCall();  // per-step graph API access
   uint64_t label_term = kNoTerm;
   if (label != nullptr) {
@@ -605,13 +605,13 @@ Status TripleEngine::WalkIncident(VertexId v, Direction dir,
 Status TripleEngine::ForEachEdgeOf(QuerySession& /*session*/, VertexId v, Direction dir,
                                    const std::string* label,
                                    const CancelToken& cancel,
-                                   const std::function<bool(EdgeId)>& fn) const {
+                                   FunctionRef<bool(EdgeId)> fn) const {
   return WalkIncident(v, dir, label, cancel, fn);
 }
 
 Status TripleEngine::ForEachNeighbor(QuerySession& /*session*/, 
     VertexId v, Direction dir, const std::string* label,
-    const CancelToken& cancel, const std::function<bool(VertexId)>& fn) const {
+    const CancelToken& cancel, FunctionRef<bool(VertexId)> fn) const {
   return WalkIncident(v, dir, label, cancel, [&](EdgeId e) {
     const EdgeStmt& stmt = edge_stmts_[e];
     return fn(stmt.src == v ? stmt.dst : stmt.src);

@@ -67,19 +67,19 @@ class TripleEngine : public GraphEngine {
   Status RemoveEdgeProperty(EdgeId e, std::string_view name) override;
 
   Status ScanVertices(QuerySession& session, const CancelToken& cancel,
-                      const std::function<bool(VertexId)>& fn) const override;
+                      FunctionRef<bool(VertexId)> fn) const override;
   Status ScanEdges(QuerySession& session, 
       const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const override;
+      FunctionRef<bool(const EdgeEnds&)> fn) const override;
   /// Streams B+Tree range scans directly (SPO prefix for outgoing
   /// connectivity statements, OSP prefix for incoming ones) instead of
   /// materializing statement vectors — the index walk is the traversal.
   Status ForEachEdgeOf(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                        const CancelToken& cancel,
-                       const std::function<bool(EdgeId)>& fn) const override;
+                       FunctionRef<bool(EdgeId)> fn) const override;
   Status ForEachNeighbor(QuerySession& session, VertexId v, Direction dir, const std::string* label,
                          const CancelToken& cancel,
-                         const std::function<bool(VertexId)>& fn) const override;
+                         FunctionRef<bool(VertexId)> fn) const override;
   Result<EdgeEnds> GetEdgeEnds(QuerySession& session, EdgeId e) const override;
   uint64_t VertexIdUpperBound() const override { return next_vertex_; }
 
@@ -132,7 +132,7 @@ class TripleEngine : public GraphEngine {
   // range scans. Self-loops are emitted once via the outgoing side.
   Status WalkIncident(VertexId v, Direction dir, const std::string* label,
                       const CancelToken& cancel,
-                      const std::function<bool(EdgeId)>& fn) const;
+                      FunctionRef<bool(EdgeId)> fn) const;
 
   struct EdgeStmt {
     VertexId src = kInvalidId;

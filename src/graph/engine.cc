@@ -222,7 +222,7 @@ Result<std::vector<VertexId>> GraphEngine::NeighborsOf(
 Status GraphEngine::ForEachEdgeLabel(
     QuerySession& session, VertexId v, Direction dir, const std::string* label,
     const CancelToken& cancel,
-    const std::function<bool(std::string_view)>& fn) const {
+    FunctionRef<bool(std::string_view)> fn) const {
   // A failed fetch can't travel through the bool-valued visitor: it
   // parks here and stops the walk.
   Status fetch_status = Status::OK();

@@ -36,7 +36,6 @@
 #ifndef GDBMICRO_GRAPH_ENGINE_H_
 #define GDBMICRO_GRAPH_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -52,6 +51,7 @@
 #include "src/graph/statistics.h"
 #include "src/graph/types.h"
 #include "src/util/cancel.h"
+#include "src/util/function_ref.h"
 #include "src/util/result.h"
 
 namespace gdbmicro {
@@ -412,13 +412,13 @@ class GraphEngine {
   /// Visits every live vertex id. `fn` returns false to stop early.
   virtual Status ScanVertices(
       QuerySession& session, const CancelToken& cancel,
-      const std::function<bool(VertexId)>& fn) const = 0;
+      FunctionRef<bool(VertexId)> fn) const = 0;
 
   /// Visits every live edge (endpoints + label, no property
   /// materialization unless the engine's architecture forces it).
   virtual Status ScanEdges(
       QuerySession& session, const CancelToken& cancel,
-      const std::function<bool(const EdgeEnds&)>& fn) const = 0;
+      FunctionRef<bool(const EdgeEnds&)> fn) const = 0;
 
   // --- Adjacency visitors (the hot-path primitives) ---------------------
   //
@@ -436,6 +436,8 @@ class GraphEngine {
   //    engine must parse an edge document to learn its label or far
   //    endpoint) pay that cost inside the visit — it is the storage
   //    layout's honest price, not harness overhead.
+  //  * Borrowed callback: `fn` (a FunctionRef) is valid only for the
+  //    duration of the call; an override must not keep it or a copy.
   //  * Early stop: `fn` returning false stops the walk immediately and
   //    the visitor returns OK. No further elements are visited.
   //  * Cancellation: the walk checks `cancel` between elements and
@@ -458,7 +460,7 @@ class GraphEngine {
   virtual Status ForEachEdgeOf(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(EdgeId)>& fn) const = 0;
+      FunctionRef<bool(EdgeId)> fn) const = 0;
 
   /// Streams the far endpoint of each incident edge (the neighbor) into
   /// `fn`. A vertex reachable over k parallel edges is visited k times;
@@ -466,7 +468,7 @@ class GraphEngine {
   virtual Status ForEachNeighbor(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(VertexId)>& fn) const = 0;
+      FunctionRef<bool(VertexId)> fn) const = 0;
 
   /// Streams the label of each incident edge into `fn`, one call per
   /// edge in exactly ForEachEdgeOf's order — the fused xE().label()
@@ -481,7 +483,7 @@ class GraphEngine {
   virtual Status ForEachEdgeLabel(
       QuerySession& session, VertexId v, Direction dir,
       const std::string* label, const CancelToken& cancel,
-      const std::function<bool(std::string_view)>& fn) const;
+      FunctionRef<bool(std::string_view)> fn) const;
 
   /// Materializing wrappers over the visitors, for callers that want the
   /// whole neighborhood as a vector. Non-virtual by design: the visitors

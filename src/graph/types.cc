@@ -70,18 +70,23 @@ void PropertyValue::EncodeTo(std::string* out) const {
 
 Result<PropertyValue> PropertyValue::DecodeFrom(const std::string& in,
                                                 size_t* pos) {
+  // Each case builds its value in place inside the result: moving a
+  // freshly built PropertyValue into it instead trips GCC 12's
+  // -Wmaybe-uninitialized on the variant's other alternatives under
+  // -fsanitize=address.
+  using Decoded = Result<PropertyValue>;
   if (*pos >= in.size()) return Status::Corruption("truncated property value");
   uint8_t tag = static_cast<uint8_t>(in[(*pos)++]);
   switch (tag) {
     case 0:
-      return PropertyValue();
+      return Decoded(std::in_place);
     case 1: {
       if (*pos >= in.size()) return Status::Corruption("truncated bool");
-      return PropertyValue(in[(*pos)++] != 0);
+      return Decoded(std::in_place, in[(*pos)++] != 0);
     }
     case 2: {
       GDB_ASSIGN_OR_RETURN(uint64_t z, GetVarint64(in, pos));
-      return PropertyValue(ZigZagDecode(z));
+      return Decoded(std::in_place, ZigZagDecode(z));
     }
     case 3: {
       if (*pos + sizeof(double) > in.size()) {
@@ -90,14 +95,14 @@ Result<PropertyValue> PropertyValue::DecodeFrom(const std::string& in,
       double d;
       __builtin_memcpy(&d, in.data() + *pos, sizeof(d));
       *pos += sizeof(d);
-      return PropertyValue(d);
+      return Decoded(std::in_place, d);
     }
     case 4: {
       GDB_ASSIGN_OR_RETURN(uint64_t len, GetVarint64(in, pos));
       if (*pos + len > in.size()) return Status::Corruption("truncated string");
-      PropertyValue v(in.substr(*pos, len));
+      size_t start = *pos;
       *pos += len;
-      return v;
+      return Decoded(std::in_place, in.substr(start, len));
     }
     default:
       return Status::Corruption("unknown property value tag");

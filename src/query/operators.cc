@@ -77,7 +77,7 @@ size_t InternPayloadBytes(const ExecContext& ctx, const PropertyValue& v) {
 }  // namespace
 
 Status Operator::Produce(const ExecContext& ctx, OpScratch& state,
-                         const RowSink& sink) const {
+                         RowSink sink) const {
   (void)ctx;
   (void)state;
   (void)sink;
@@ -86,7 +86,7 @@ Status Operator::Produce(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> Operator::Process(const ExecContext& ctx, OpScratch& state,
-                               uint64_t row, const RowSink& sink) const {
+                               uint64_t row, RowSink sink) const {
   (void)ctx;
   (void)state;
   (void)row;
@@ -98,14 +98,14 @@ Result<bool> Operator::Process(const ExecContext& ctx, OpScratch& state,
 // --- Sources ---------------------------------------------------------------
 
 Status VertexScan::Produce(const ExecContext& ctx, OpScratch& state,
-                           const RowSink& sink) const {
+                           RowSink sink) const {
   (void)state;
   return ctx.engine.ScanVertices(ctx.session, ctx.cancel,
                                  [&](VertexId id) { return sink(id); });
 }
 
 Status EdgeScan::Produce(const ExecContext& ctx, OpScratch& state,
-                         const RowSink& sink) const {
+                         RowSink sink) const {
   (void)state;
   return ctx.engine.ScanEdges(ctx.session, ctx.cancel,
                               [&](const EdgeEnds& e) { return sink(e.id); });
@@ -117,7 +117,7 @@ std::string VertexLookup::args() const {
 }
 
 Status VertexLookup::Produce(const ExecContext& ctx, OpScratch& state,
-                             const RowSink& sink) const {
+                             RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   VertexId id = bound_ ? ctx.params->id : id_;
@@ -138,7 +138,7 @@ std::string EdgeLookup::args() const {
 }
 
 Status EdgeLookup::Produce(const ExecContext& ctx, OpScratch& state,
-                           const RowSink& sink) const {
+                           RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   EdgeId id = bound_ ? ctx.params->id : id_;
@@ -156,7 +156,7 @@ std::string PropertyIndexScan::args() const {
 }
 
 Status PropertyIndexScan::Produce(const ExecContext& ctx, OpScratch& state,
-                                  const RowSink& sink) const {
+                                  RowSink sink) const {
   (void)state;
   const PropertyValue& value = bound_ ? ctx.params->value : value_;
   GDB_ASSIGN_OR_RETURN(
@@ -171,7 +171,7 @@ Status PropertyIndexScan::Produce(const ExecContext& ctx, OpScratch& state,
 std::string EdgeLabelScan::args() const { return "label=" + label_; }
 
 Status EdgeLabelScan::Produce(const ExecContext& ctx, OpScratch& state,
-                              const RowSink& sink) const {
+                              RowSink sink) const {
   (void)state;
   GDB_ASSIGN_OR_RETURN(
       std::vector<EdgeId> ids,
@@ -184,7 +184,7 @@ Status EdgeLabelScan::Produce(const ExecContext& ctx, OpScratch& state,
 
 Status DistinctEdgeTargetScan::Produce(const ExecContext& ctx,
                                        OpScratch& state,
-                                       const RowSink& sink) const {
+                                       RowSink sink) const {
   OpScratch& s = Fresh(ctx, state);
   // Dedup-set growth is governor-accounted; a budget trip can't travel
   // through the bool-valued visitor, so it parks and stops the walk.
@@ -208,7 +208,7 @@ std::string DistinctNeighborScan::args() const {
 }
 
 Status DistinctNeighborScan::Produce(const ExecContext& ctx, OpScratch& state,
-                                     const RowSink& sink) const {
+                                     RowSink sink) const {
   OpScratch& s = Fresh(ctx, state);
   Status charge_error = Status::OK();
   auto admit = [&](VertexId v) {
@@ -244,7 +244,7 @@ Status DistinctNeighborScan::Produce(const ExecContext& ctx, OpScratch& state,
 std::string LabelFilter::args() const { return "label=" + label_; }
 
 Result<bool> LabelFilter::Process(const ExecContext& ctx, OpScratch& state,
-                                  uint64_t row, const RowSink& sink) const {
+                                  uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   if (input_kind() == RowKind::kVertex) {
@@ -262,7 +262,7 @@ std::string PropertyFilter::args() const {
 }
 
 Result<bool> PropertyFilter::Process(const ExecContext& ctx, OpScratch& state,
-                                     uint64_t row, const RowSink& sink) const {
+                                     uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   const PropertyValue& value = bound_ ? ctx.params->value : value_;
@@ -284,7 +284,7 @@ Result<bool> PropertyFilter::Process(const ExecContext& ctx, OpScratch& state,
 std::string Expand::args() const { return AdjacencyArgs(dir_, mode_, label_); }
 
 Result<bool> Expand::Process(const ExecContext& ctx, OpScratch& state,
-                             uint64_t row, const RowSink& sink) const {
+                             uint64_t row, RowSink sink) const {
   (void)state;
   if (input_kind() != RowKind::kVertex) return true;
   bool keep_going = true;
@@ -300,7 +300,7 @@ Result<bool> Expand::Process(const ExecContext& ctx, OpScratch& state,
 std::string ExpandE::args() const { return AdjacencyArgs(dir_, mode_, label_); }
 
 Result<bool> ExpandE::Process(const ExecContext& ctx, OpScratch& state,
-                              uint64_t row, const RowSink& sink) const {
+                              uint64_t row, RowSink sink) const {
   (void)state;
   if (input_kind() != RowKind::kVertex) return true;
   bool keep_going = true;
@@ -314,7 +314,7 @@ Result<bool> ExpandE::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> ExpandELabel::Process(const ExecContext& ctx, OpScratch& state,
-                                   uint64_t row, const RowSink& sink) const {
+                                   uint64_t row, RowSink sink) const {
   (void)state;
   if (input_kind() != RowKind::kVertex) return true;
   bool keep_going = true;
@@ -336,7 +336,7 @@ Result<bool> ExpandELabel::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> EndpointMap::Process(const ExecContext& ctx, OpScratch& state,
-                                  uint64_t row, const RowSink& sink) const {
+                                  uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   if (input_kind() != RowKind::kEdge) return true;
@@ -345,7 +345,7 @@ Result<bool> EndpointMap::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> LabelMap::Process(const ExecContext& ctx, OpScratch& state,
-                               uint64_t row, const RowSink& sink) const {
+                               uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   if (input_kind() == RowKind::kEdge) {
@@ -366,7 +366,7 @@ Result<bool> LabelMap::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> ValuesMap::Process(const ExecContext& ctx, OpScratch& state,
-                                uint64_t row, const RowSink& sink) const {
+                                uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   PropertyMap props;
@@ -390,7 +390,7 @@ Result<bool> ValuesMap::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> Dedup::Process(const ExecContext& ctx, OpScratch& state,
-                            uint64_t row, const RowSink& sink) const {
+                            uint64_t row, RowSink sink) const {
   GDB_CHECK_CANCEL(ctx.cancel);
   OpScratch& s = Fresh(ctx, state);
   if (s.seen.insert(row).second) {
@@ -405,7 +405,7 @@ std::string Limit::args() const {
 }
 
 Result<bool> Limit::Process(const ExecContext& ctx, OpScratch& state,
-                            uint64_t row, const RowSink& sink) const {
+                            uint64_t row, RowSink sink) const {
   OpScratch& s = Fresh(ctx, state);
   if (s.counter >= n_) return false;
   ++s.counter;
@@ -420,7 +420,7 @@ std::string DegreeFilter::args() const {
 }
 
 Result<bool> DegreeFilter::Process(const ExecContext& ctx, OpScratch& state,
-                                   uint64_t row, const RowSink& sink) const {
+                                   uint64_t row, RowSink sink) const {
   (void)state;
   GDB_CHECK_CANCEL(ctx.cancel);
   if (input_kind() != RowKind::kVertex) return true;
@@ -435,7 +435,7 @@ Result<bool> DegreeFilter::Process(const ExecContext& ctx, OpScratch& state,
 }
 
 Result<bool> CountSink::Process(const ExecContext& ctx, OpScratch& state,
-                                uint64_t row, const RowSink& sink) const {
+                                uint64_t row, RowSink sink) const {
   (void)row;
   (void)sink;
   ++Fresh(ctx, state).counter;

@@ -20,8 +20,8 @@
 // Rows are flat uint64_t (plan.h): ids for vertex/edge positions, value
 // pool indexes for label/property-value positions. Each operator's input
 // kind is fixed at lowering (set_input_kind), so no per-row tag is
-// carried. RowSink is a non-owning function_ref: composing the chain and
-// pushing rows never allocates.
+// carried. RowSink is a FunctionRef (src/util/function_ref.h): composing
+// the chain and pushing rows never allocates.
 //
 // Both executors drive these same implementations: the step-wise
 // executor feeds a materialized frontier row by row; the streaming
@@ -35,34 +35,17 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "src/query/plan.h"
+#include "src/util/function_ref.h"
 
 namespace gdbmicro {
 namespace query {
 
-/// Non-owning callable reference consuming one row; returns false to
-/// stop the producer (early termination, not an error). Trivially
-/// copyable and allocation-free — safe because sinks are only invoked
-/// synchronously while the referenced callable is alive.
-class RowSink {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, RowSink>>>
-  RowSink(F&& f)  // NOLINT: implicit by design, mirrors function_ref
-      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
-        call_([](void* obj, uint64_t row) {
-          return (*static_cast<std::remove_reference_t<F>*>(obj))(row);
-        }) {}
-
-  bool operator()(uint64_t row) const { return call_(obj_, row); }
-
- private:
-  void* obj_;
-  bool (*call_)(void*, uint64_t);
-};
+/// Consumes one row; returns false to stop the producer (early
+/// termination, not an error). Sinks are only invoked while the call
+/// that received them runs (see src/util/function_ref.h).
+using RowSink = FunctionRef<bool(uint64_t)>;
 
 /// Everything a run threads through the chain: the engine + session pair,
 /// cancellation, the session's scratch (value pool, run epoch), and the
@@ -116,13 +99,13 @@ class Operator {
   /// exhausted or the sink returns false. `state` is this operator's
   /// per-run slot in the calling session's scratch.
   virtual Status Produce(const ExecContext& ctx, OpScratch& state,
-                         const RowSink& sink) const;
+                         RowSink sink) const;
 
   /// Pipeline operators only: transform one input row, pushing outputs
   /// into `sink`. Returns false when the operator wants no further input
   /// (its sink stopped, or its own bound — e.g. Limit — was reached).
   virtual Result<bool> Process(const ExecContext& ctx, OpScratch& state,
-                               uint64_t row, const RowSink& sink) const;
+                               uint64_t row, RowSink sink) const;
 
  private:
   RowKind input_kind_ = RowKind::kVertex;
@@ -140,7 +123,7 @@ class VertexScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 };
 
 /// g.E() — full edge scan.
@@ -153,7 +136,7 @@ class EdgeScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 };
 
 /// g.V(id). A missing vertex yields an empty traverser set (Gremlin
@@ -171,7 +154,7 @@ class VertexLookup : public Operator {
     return 1;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 
  private:
   VertexId id_ = kInvalidId;
@@ -192,7 +175,7 @@ class EdgeLookup : public Operator {
     return 1;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 
  private:
   EdgeId id_ = kInvalidId;
@@ -216,7 +199,7 @@ class PropertyIndexScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 
  private:
   std::string key_;
@@ -237,7 +220,7 @@ class EdgeLabelScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 
  private:
   std::string label_;
@@ -256,7 +239,7 @@ class DistinctEdgeTargetScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 };
 
 /// Cost-based generalization of DistinctEdgeTargetScan to every
@@ -276,7 +259,7 @@ class DistinctNeighborScan : public Operator {
     return std::nullopt;
   }
   Status Produce(const ExecContext& ctx, OpScratch& state,
-                 const RowSink& sink) const override;
+                 RowSink sink) const override;
 
  private:
   Direction dir_;
@@ -292,7 +275,7 @@ class LabelFilter : public Operator {
   std::string_view name() const override { return "LabelFilter"; }
   std::string args() const override;
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   std::string label_;
@@ -308,7 +291,7 @@ class PropertyFilter : public Operator {
   std::string_view name() const override { return "PropertyFilter"; }
   std::string args() const override;
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   std::string key_;
@@ -336,7 +319,7 @@ class Expand : public Operator {
     return std::nullopt;
   }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   Direction dir_;
@@ -359,7 +342,7 @@ class ExpandE : public Operator {
     return std::nullopt;
   }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  protected:
   Direction dir_;
@@ -377,7 +360,7 @@ class ExpandELabel : public ExpandE {
   std::string_view name() const override { return "ExpandELabel"; }
   RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 };
 
 /// outV()/inV(): maps edge traversers to an endpoint.
@@ -388,7 +371,7 @@ class EndpointMap : public Operator {
   std::string args() const override { return out_ ? "out" : "in"; }
   RowKind OutputKind(RowKind) const override { return RowKind::kVertex; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   bool out_;
@@ -400,7 +383,7 @@ class LabelMap : public Operator {
   std::string_view name() const override { return "LabelMap"; }
   RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 };
 
 /// values(k): maps elements to an (interned) property value; missing
@@ -412,7 +395,7 @@ class ValuesMap : public Operator {
   std::string args() const override { return key_; }
   RowKind OutputKind(RowKind) const override { return RowKind::kValue; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   std::string key_;
@@ -425,7 +408,7 @@ class Dedup : public Operator {
  public:
   std::string_view name() const override { return "Dedup"; }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 };
 
 /// limit(n): forwards the first n rows, then stops its producer.
@@ -438,7 +421,7 @@ class Limit : public Operator {
     return in.has_value() ? std::min(*in, n_) : n_;
   }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   uint64_t n_;
@@ -453,7 +436,7 @@ class DegreeFilter : public Operator {
   std::string_view name() const override { return "DegreeFilter"; }
   std::string args() const override;
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 
  private:
   Direction dir_;
@@ -471,7 +454,7 @@ class CountSink : public Operator {
     return 0;
   }
   Result<bool> Process(const ExecContext& ctx, OpScratch& state, uint64_t row,
-                       const RowSink& sink) const override;
+                       RowSink sink) const override;
 };
 
 }  // namespace query

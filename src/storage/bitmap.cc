@@ -112,7 +112,7 @@ bool Bitmap::Contains(uint64_t id) const {
   return it->second.Contains(static_cast<uint16_t>(id & 0xFFFF));
 }
 
-void Bitmap::ForEach(const std::function<bool(uint64_t)>& fn) const {
+void Bitmap::ForEach(FunctionRef<bool(uint64_t)> fn) const {
   for (const auto& [chunk, c] : containers_) {
     uint64_t base = static_cast<uint64_t>(chunk) << 16;
     if (c.dense) {

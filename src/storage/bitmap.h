@@ -7,11 +7,11 @@
 #define GDBMICRO_STORAGE_BITMAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/util/function_ref.h"
 #include "src/util/result.h"
 
 namespace gdbmicro {
@@ -38,7 +38,7 @@ class Bitmap {
   bool Empty() const { return cardinality_ == 0; }
 
   /// Iterates ids in ascending order. Return false from `fn` to stop early.
-  void ForEach(const std::function<bool(uint64_t)>& fn) const;
+  void ForEach(FunctionRef<bool(uint64_t)> fn) const;
 
   /// Collects all ids in ascending order.
   std::vector<uint64_t> ToVector() const;

@@ -23,10 +23,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "src/util/function_ref.h"
 
 namespace gdbmicro {
 
@@ -133,19 +134,19 @@ class BTree {
 
   /// Visits every value mapped to `key`, in value order. Return false from
   /// `fn` to stop. Returns false if iteration was stopped early.
-  bool ScanKey(const Key& key, const std::function<bool(const Value&)>& fn) const {
+  bool ScanKey(const Key& key, FunctionRef<bool(const Value&)> fn) const {
     return ScanRange(key, key, [&](const Key&, const Value& v) { return fn(v); });
   }
 
   /// Visits every entry with lo <= key <= hi in ascending order.
   /// Return false from `fn` to stop. Returns false if stopped early.
   bool ScanRange(const Key& lo, const Key& hi,
-                 const std::function<bool(const Key&, const Value&)>& fn) const {
+                 FunctionRef<bool(const Key&, const Value&)> fn) const {
     return ScanRangeRec(root_.get(), lo, hi, fn);
   }
 
   /// Visits all entries in ascending order.
-  bool ScanAll(const std::function<bool(const Key&, const Value&)>& fn) const {
+  bool ScanAll(FunctionRef<bool(const Key&, const Value&)> fn) const {
     return ScanAllRec(root_.get(), fn);
   }
 
@@ -275,7 +276,7 @@ class BTree {
   }
 
   bool ScanRangeRec(const Node* n, const Key& lo, const Key& hi,
-                    const std::function<bool(const Key&, const Value&)>& fn) const {
+                    FunctionRef<bool(const Key&, const Value&)> fn) const {
     if (n->leaf) {
       auto it = std::lower_bound(
           n->entries.begin(), n->entries.end(), lo,
@@ -302,7 +303,7 @@ class BTree {
   }
 
   bool ScanAllRec(const Node* n,
-                  const std::function<bool(const Key&, const Value&)>& fn) const {
+                  FunctionRef<bool(const Key&, const Value&)> fn) const {
     if (n->leaf) {
       for (const Entry& e : n->entries) {
         if (!fn(e.first, e.second)) return false;

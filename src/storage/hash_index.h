@@ -8,13 +8,13 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "src/util/function_ref.h"
 #include "src/util/hash.h"
 
 namespace gdbmicro {
@@ -83,7 +83,7 @@ class HashIndex {
   }
 
   /// Visits every (key, value). Return false from `fn` to stop early.
-  void ForEach(const std::function<bool(const Key&, const Value&)>& fn) const {
+  void ForEach(FunctionRef<bool(const Key&, const Value&)> fn) const {
     for (const Slot& s : slots_) {
       if (s.state == State::kFull) {
         if (!fn(s.key, s.value)) return;

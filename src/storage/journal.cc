@@ -185,7 +185,7 @@ void Journal::Truncate(uint64_t used) {
   used_ = used;
 }
 
-Result<RecoveryStats> Journal::Recover(const RecordVisitor& visit) {
+Result<RecoveryStats> Journal::Recover(RecordVisitor visit) {
   RecoveryStats stats;
   stats.scanned_bytes = used_;
 

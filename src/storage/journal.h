@@ -27,10 +27,10 @@
 #define GDBMICRO_STORAGE_JOURNAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
+#include "src/util/function_ref.h"
 #include "src/util/result.h"
 
 namespace gdbmicro {
@@ -149,8 +149,8 @@ class Journal {
   /// previous commit); any other visit error aborts recovery as a hard
   /// failure. kNoop frames are validated and skipped.
   using RecordVisitor =
-      std::function<Status(WalRecordType, std::string_view payload)>;
-  Result<RecoveryStats> Recover(const RecordVisitor& visit);
+      FunctionRef<Status(WalRecordType, std::string_view payload)>;
+  Result<RecoveryStats> Recover(RecordVisitor visit);
 
   /// Drops every byte at offset >= `used`. Recovery's truncation
   /// primitive; no-op when `used` >= UsedBytes().

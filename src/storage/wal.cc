@@ -70,18 +70,21 @@ Result<Ref> GetRef(std::string_view in, size_t* pos) {
 
 Result<PropertyValue> DecodeValue(std::string_view in, size_t* pos,
                                   const Journal& values) {
+  // Values are built in place inside the result (see
+  // PropertyValue::DecodeFrom).
+  using Decoded = Result<PropertyValue>;
   if (*pos >= in.size()) return Status::Corruption("truncated value");
   uint8_t tag = static_cast<uint8_t>(in[(*pos)++]);
   switch (tag) {
     case kValueNull:
-      return PropertyValue();
+      return Decoded(std::in_place);
     case kValueBool: {
       if (*pos >= in.size()) return Status::Corruption("truncated bool");
-      return PropertyValue(in[(*pos)++] != '\0');
+      return Decoded(std::in_place, in[(*pos)++] != '\0');
     }
     case kValueInt: {
       GDB_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(in, pos));
-      return PropertyValue(ZigZagDecode(raw));
+      return Decoded(std::in_place, ZigZagDecode(raw));
     }
     case kValueDouble: {
       if (in.size() - *pos < 8 || *pos > in.size()) {
@@ -95,11 +98,11 @@ Result<PropertyValue> DecodeValue(std::string_view in, size_t* pos,
       *pos += 8;
       double d;
       std::memcpy(&d, &bits, sizeof(d));
-      return PropertyValue(d);
+      return Decoded(std::in_place, d);
     }
     case kValueInlineString: {
       GDB_ASSIGN_OR_RETURN(std::string_view s, GetString(in, pos));
-      return PropertyValue(std::string(s));
+      return Decoded(std::in_place, std::string(s));
     }
     case kValueSeparatedString: {
       GDB_ASSIGN_OR_RETURN(uint64_t offset, GetVarint64(in, pos));
@@ -112,7 +115,7 @@ Result<PropertyValue> DecodeValue(std::string_view in, size_t* pos,
       if (Crc32c(*bytes) != crc) {
         return Status::Corruption("separated value checksum mismatch");
       }
-      return PropertyValue(std::string(*bytes));
+      return Decoded(std::in_place, std::string(*bytes));
     }
     default:
       return Status::Corruption("unknown value tag");
@@ -476,7 +479,7 @@ Status Wal::Sync() {
 }
 
 Result<RecoveryStats> Wal::Recover(Journal& log, const Journal& values,
-                                   const BatchApplier& apply) {
+                                   BatchApplier apply) {
   RecoveredBatch batch;
   auto visit = [&](WalRecordType type,
                    std::string_view payload) -> Status {

@@ -27,13 +27,13 @@
 #define GDBMICRO_STORAGE_WAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/graph/types.h"
 #include "src/storage/journal.h"
+#include "src/util/function_ref.h"
 #include "src/util/result.h"
 
 namespace gdbmicro {
@@ -162,17 +162,17 @@ class Wal {
     uint64_t sequence = 0;
     std::vector<WriteOp> ops;
   };
-  using BatchApplier = std::function<Status(const RecoveredBatch&)>;
+  using BatchApplier = FunctionRef<Status(const RecoveredBatch&)>;
 
   /// Replays `log` (as left behind by a crash) in commit order into
   /// `apply`, resolving separated values from `values`, truncating `log`
   /// to the longest valid committed prefix. See the contract at the top
   /// of this file.
   static Result<RecoveryStats> Recover(Journal& log, const Journal& values,
-                                       const BatchApplier& apply);
+                                       BatchApplier apply);
 
   /// Convenience: recover this Wal's own journals.
-  Result<RecoveryStats> Recover(const BatchApplier& apply) {
+  Result<RecoveryStats> Recover(BatchApplier apply) {
     return Recover(log_, values_, apply);
   }
 

@@ -20,6 +20,11 @@ class Result {
   /// Implicit from value (success).
   Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
 
+  /// Success, with the value constructed in place from `args`.
+  template <typename... Args>
+  explicit Result(std::in_place_t, Args&&... args)
+      : value_(std::in_place, std::forward<Args>(args)...) {}
+
   /// Implicit from error status. `status` must not be OK.
   Result(Status status) : status_(std::move(status)) {  // NOLINT
     assert(!status_.ok());

@@ -9,13 +9,17 @@
 // Plus the allocation contract: after warmup, repeated prepared runs of
 // a point query allocate ~nothing — the per-run state lives in the
 // session's PlanScratch and is reused, while the rebuild path pays the
-// traversal build + lowering allocations every iteration.
+// traversal build + lowering allocations every iteration. Beneath it, direct
+// adjacency and scan visitor calls allocate nothing on the native-layout
+// engines.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -338,20 +342,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Allocation contract ----------------------------------------------------
 
+/// 200 propertyless "n" vertices, each with one out edge labelled "l"
+/// (i -> 7i+1 mod 200). Returns the vertex ids; empty on a failed write.
+std::vector<VertexId> AddPropertylessGraph(GraphEngine& engine) {
+  std::vector<VertexId> v;
+  for (int i = 0; i < 200; ++i) {
+    auto id = engine.AddVertex("n", {});
+    if (!id.ok()) return {};
+    v.push_back(*id);
+  }
+  for (int i = 0; i < 200; ++i) {
+    if (!engine.AddEdge(v[static_cast<size_t>(i)],
+                        v[static_cast<size_t>((i * 7 + 1) % 200)], "l", {})
+             .ok()) {
+      return {};
+    }
+  }
+  return v;
+}
+
 TEST(PreparedPlanAllocationTest, SteadyStateRunsAllocateAlmostNothing) {
   // Propertyless graph on the record-chain engine whose visitors are
   // allocation-free, so every remaining allocation is the query layer's.
   auto engine = OpenEngine("neo19", EngineOptions{}).value();
-  std::vector<VertexId> v;
-  for (int i = 0; i < 200; ++i) {
-    v.push_back(engine->AddVertex("n", {}).value());
-  }
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(engine->AddEdge(v[static_cast<size_t>(i)],
-                                v[static_cast<size_t>((i * 7 + 1) % 200)],
-                                "l", {})
-                    .ok());
-  }
+  std::vector<VertexId> v = AddPropertylessGraph(*engine);
+  ASSERT_EQ(v.size(), 200u);
   auto session = engine->CreateSession();
   CancelToken never;
 
@@ -399,6 +414,91 @@ TEST(PreparedPlanAllocationTest, SteadyStateRunsAllocateAlmostNothing) {
   // step vector, the operator chain, and the lowering every iteration).
   EXPECT_LT(prepared_allocs * 10, rebuilt_allocs);
 }
+
+// --- Visitor allocation contract ---------------------------------------------
+
+// The engine read surface takes its callbacks as FunctionRef, so a
+// visitor call whose layout keeps adjacency in place allocates nothing:
+// neither for the caller's closure (whatever its size) nor for the
+// closures the engine wraps it in. Steady state, propertyless graph, on
+// every engine whose storage layout needs no per-call decode. Excluded:
+//  * arango parses a JSON document per call (its architecture);
+//  * orient decodes the vertex record, two allocations per call;
+//  * titan10's row cache inserts on a miss (~0.76 per kBoth call).
+class VisitorAllocationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(VisitorAllocationTest, DirectVisitorCallsAllocateNothing) {
+  auto engine = OpenEngine(GetParam(), EngineOptions{}).value();
+  std::vector<VertexId> v = AddPropertylessGraph(*engine);
+  ASSERT_EQ(v.size(), 200u);
+  auto session = engine->CreateSession();
+  CancelToken never;
+  const std::string label = "l";
+
+  // Three captured references: larger than std::function's small buffer,
+  // like the operator closures that drive these visitors.
+  uint64_t visits = 0, id_sum = 0, bytes = 0;
+  auto on_id = [&](uint64_t id) {
+    ++visits;
+    id_sum += id;
+    bytes += sizeof(id);
+    return true;
+  };
+  auto on_label = [&](std::string_view l) {
+    ++visits;
+    id_sum += l.size();
+    bytes += l.size();
+    return true;
+  };
+
+  struct Call {
+    const char* name;
+    std::function<Status(VertexId)> run;
+  };
+  const std::vector<Call> calls = {
+      {"ForEachNeighbor(kBoth)",
+       [&](VertexId u) {
+         return engine->ForEachNeighbor(*session, u, Direction::kBoth,
+                                        nullptr, never, on_id);
+       }},
+      {"ForEachNeighbor(kOut, label)",
+       [&](VertexId u) {
+         return engine->ForEachNeighbor(*session, u, Direction::kOut, &label,
+                                        never, on_id);
+       }},
+      {"ForEachEdgeOf(kBoth)",
+       [&](VertexId u) {
+         return engine->ForEachEdgeOf(*session, u, Direction::kBoth, nullptr,
+                                      never, on_id);
+       }},
+      {"ForEachEdgeLabel(kBoth)",
+       [&](VertexId u) {
+         return engine->ForEachEdgeLabel(*session, u, Direction::kBoth,
+                                         nullptr, never, on_label);
+       }},
+      {"ScanVertices",
+       [&](VertexId) { return engine->ScanVertices(*session, never, on_id); }},
+  };
+  for (const Call& call : calls) {
+    for (VertexId u : v) ASSERT_TRUE(call.run(u).ok()) << call.name;  // warmup
+    visits = 0;
+    uint64_t before = g_allocs;
+    for (VertexId u : v) ASSERT_TRUE(call.run(u).ok()) << call.name;
+    uint64_t allocs = g_allocs - before;
+    EXPECT_GT(visits, 0u) << call.name;
+    EXPECT_EQ(allocs, 0u) << call.name << ": "
+                          << static_cast<double>(allocs) / v.size()
+                          << " allocs/call";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NativeLayoutEngines, VisitorAllocationTest,
+    ::testing::Values("blaze", "neo19", "neo30", "sparksee", "sqlg",
+                      "titan05"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 // --- Cost-based re-pricing ---------------------------------------------------
 

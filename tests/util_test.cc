@@ -1,15 +1,21 @@
-// Unit tests for src/util: Status/Result, JSON, varint/delta codecs,
-// RNG/samplers, string helpers.
+// Unit tests for src/util: Status/Result, FunctionRef, JSON, varint/delta
+// codecs, RNG/samplers, string helpers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/util/cancel.h"
+#include "src/util/function_ref.h"
 #include "src/util/json.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
@@ -67,6 +73,91 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_TRUE(UseAssignOrReturn(7, &out).ok());
   EXPECT_EQ(out, 7);
   EXPECT_FALSE(UseAssignOrReturn(-7, &out).ok());
+}
+
+TEST(ResultTest, InPlaceConstructsTheValue) {
+  Result<std::string> r(std::in_place, 3, 'x');
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, "xxx");
+}
+
+int ApplyTwice(FunctionRef<int(int)> f, int x) { return f(f(x)); }
+
+TEST(FunctionRefTest, ForwardsArgumentsAndReturnValues) {
+  EXPECT_EQ(ApplyTwice([](int x) { return x * 3; }, 2), 18);
+
+  auto concat = [](const std::string& a, std::string_view b) {
+    return a + std::string(b);
+  };
+  FunctionRef<std::string(const std::string&, std::string_view)> ref(concat);
+  EXPECT_EQ(ref("ab", "cd"), "abcd");
+
+  auto check = [](int x) {
+    return x > 0 ? Status::OK() : Status::InvalidArgument("not positive");
+  };
+  FunctionRef<Status(int)> status_ref(check);
+  EXPECT_TRUE(status_ref(1).ok());
+  EXPECT_EQ(status_ref(0).code(), StatusCode::kInvalidArgument);
+
+  // A void ref discards whatever the callable returns.
+  int seen = 0;
+  auto record = [&seen](int x) {
+    seen = x;
+    return x;
+  };
+  FunctionRef<void(int)> void_ref(record);
+  void_ref(5);
+  EXPECT_EQ(seen, 5);
+}
+
+TEST(FunctionRefTest, MutatesCapturedState) {
+  uint64_t visits = 0, sum = 0;
+  auto visit = [&](uint64_t v) {
+    ++visits;
+    sum += v;
+    return v < 3;
+  };
+  FunctionRef<bool(uint64_t)> ref(visit);
+  for (uint64_t v = 1; v <= 5 && ref(v); ++v) {
+  }
+  EXPECT_EQ(visits, 3u);
+  EXPECT_EQ(sum, 6u);
+}
+
+TEST(FunctionRefTest, CopyCallsTheOriginalCallable) {
+  int first_calls = 0, second_calls = 0;
+  auto first = [&first_calls] { return ++first_calls; };
+  auto second = [&second_calls] { return ++second_calls; };
+  FunctionRef<int()> a(first);
+  FunctionRef<int()> copy = a;
+  // Repointing the source ref must not affect the copy: it holds the
+  // callable itself, not a reference to `a`.
+  a = FunctionRef<int()>(second);
+  EXPECT_EQ(copy(), 1);
+  EXPECT_EQ(a(), 1);
+  EXPECT_EQ(first_calls, 1);
+  EXPECT_EQ(second_calls, 1);
+}
+
+TEST(FunctionRefTest, WorksWithConstCallable) {
+  struct Doubler {
+    int operator()(int x) const { return 2 * x; }
+  };
+  const Doubler doubler;
+  FunctionRef<int(int)> ref(doubler);
+  EXPECT_EQ(ref(21), 42);
+
+  const auto add_one = [](int x) { return x + 1; };
+  EXPECT_EQ(ApplyTwice(add_one, 1), 3);
+}
+
+TEST(FunctionRefTest, AcceptsMoveOnlyCallable) {
+  // std::function requires a copyable target; FunctionRef only borrows.
+  auto owner = [p = std::make_unique<int>(40)](int d) { return *p + d; };
+  static_assert(!std::is_copy_constructible_v<decltype(owner)>);
+  FunctionRef<int(int)> ref(owner);
+  EXPECT_EQ(ref(2), 42);
+  EXPECT_EQ(ApplyTwice(owner, 1), 81);
 }
 
 TEST(VarintTest, RoundTripBoundaries) {
