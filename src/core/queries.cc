@@ -1,8 +1,5 @@
 #include "src/core/queries.h"
 
-#include <mutex>
-#include <shared_mutex>
-
 #include "src/graph/writer.h"
 #include "src/query/algorithms.h"
 #include "src/query/traversal.h"
@@ -19,18 +16,22 @@ using query::Traversal;
 
 Result<const PreparedPlan*> PreparedQueryCache::Get(
     int key, FunctionRef<query::Traversal()> build) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) return &it->second;
+  if (key < 0 || key >= kSlots) {
+    return Status::InvalidArgument(StrFormat(
+        "prepared-plan key %d outside [0, %d)", key, kSlots));
   }
-  // Lower outside the exclusive section; a concurrent loser's plan is
-  // discarded (lowering is idempotent, the first insert wins).
+  // Acquire pairs with the release below: a hit sees the lowered plan.
+  if (const PreparedPlan* plan = slots_[key].load(std::memory_order_acquire)) {
+    return plan;
+  }
+  std::lock_guard<std::mutex> lock(build_mu_);
+  if (const PreparedPlan* plan = slots_[key].load(std::memory_order_relaxed)) {
+    return plan;  // lowered by a thread that held the mutex first
+  }
   GDB_ASSIGN_OR_RETURN(PreparedPlan plan, build().Prepare(*engine_));
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = plans_.try_emplace(key, std::move(plan));
-  (void)inserted;
-  return &it->second;
+  owned_[key] = std::make_unique<PreparedPlan>(std::move(plan));
+  slots_[key].store(owned_[key].get(), std::memory_order_release);
+  return owned_[key].get();
 }
 
 const PreparedQueryCache& QueryContext::prepared_cache() {

@@ -11,11 +11,12 @@
 #ifndef GDBMICRO_CORE_QUERIES_H_
 #define GDBMICRO_CORE_QUERIES_H_
 
+#include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/datasets/workload.h"
@@ -40,24 +41,31 @@ enum class Category {
 
 std::string_view CategoryToString(Category c);
 
-/// Cache of prepared plans for one loaded engine, keyed by query shape
-/// (the Table 2 number, or any caller-chosen key). A PreparedPlan is
-/// immutable after lowering, so one cache entry serves every session of
-/// the engine; lookups take a shared lock, the one-time lowering takes
-/// the exclusive lock. Entry addresses are stable (node-based map) —
-/// returned pointers stay valid for the cache's lifetime.
+/// Cache of prepared plans for one loaded engine, keyed by query shape:
+/// the Table 2 number, in [0, kSlots). A PreparedPlan is immutable after
+/// lowering, so one cache entry serves every session of the engine. A hit
+/// is one acquire load from a fixed slot array and takes no lock; the
+/// one-time lowering of a key runs under a plain mutex, so build() runs
+/// once per key. The cache owns its plans: returned pointers stay valid
+/// for the cache's lifetime.
 class PreparedQueryCache {
  public:
+  /// One slot per Table 2 row number (Q1..Q35).
+  static constexpr int kSlots = 36;
+
   explicit PreparedQueryCache(const GraphEngine* engine) : engine_(engine) {}
 
   /// The prepared plan for `key`, lowering `build()` on first use.
+  /// InvalidArgument when `key` is outside [0, kSlots).
   Result<const query::PreparedPlan*> Get(
       int key, FunctionRef<query::Traversal()> build) const;
 
  private:
   const GraphEngine* engine_;
-  mutable std::shared_mutex mu_;
-  mutable std::unordered_map<int, query::PreparedPlan> plans_;
+  mutable std::mutex build_mu_;
+  /// Written once per key under build_mu_; slots_ publishes the address.
+  mutable std::array<std::unique_ptr<query::PreparedPlan>, kSlots> owned_;
+  mutable std::array<std::atomic<const query::PreparedPlan*>, kSlots> slots_{};
 };
 
 /// Execution context handed to each query implementation. Reused across

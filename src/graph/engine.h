@@ -20,6 +20,10 @@
 //  * Versioning. CreateSession() pins the engine's current snapshot
 //    epoch (see src/graph/epoch.h) and the session observes exactly that
 //    snapshot for its entire lifetime; destroying the session unpins it.
+//    Pin and unpin are lock-free atomic updates of the epoch gate word; a
+//    session created while a writer holds the gate closed (from the start
+//    of its drain to its publish) blocks on the gate's mutex until the
+//    publish.
 //    A committing writer drains pinned readers before mutating, applies
 //    in place with exclusive access, then atomically publishes the next
 //    epoch — sessions created afterwards see the updated graph. Retired
@@ -226,8 +230,10 @@ class SessionState {
 /// that created it, and must not outlive the engine.
 class QuerySession {
  public:
-  /// Pins the engine's current snapshot epoch; blocks briefly while a
-  /// writer is publishing (see the concurrency contract above).
+  /// Pins the engine's current snapshot epoch: one CAS on the epoch gate
+  /// word, no lock. Blocks while a writer holds the gate closed, for as
+  /// long as that commit's drain and apply take (see the concurrency
+  /// contract above).
   explicit QuerySession(const GraphEngine* engine);
   /// Unpins the epoch pinned at construction.
   virtual ~QuerySession();

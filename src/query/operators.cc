@@ -191,7 +191,7 @@ Status DistinctEdgeTargetScan::Produce(const ExecContext& ctx,
   Status charge_error = Status::OK();
   GDB_RETURN_IF_ERROR(ctx.engine.ScanEdges(
       ctx.session, ctx.cancel, [&](const EdgeEnds& e) {
-        if (!s.seen.insert(e.dst).second) return true;
+        if (!s.seen.insert(e.dst)) return true;
         if (!ctx.cancel.Charge(kHashSetEntryBytes)) {
           charge_error = ctx.cancel.ToStatus();
           return false;
@@ -212,7 +212,7 @@ Status DistinctNeighborScan::Produce(const ExecContext& ctx, OpScratch& state,
   OpScratch& s = Fresh(ctx, state);
   Status charge_error = Status::OK();
   auto admit = [&](VertexId v) {
-    if (!s.seen.insert(v).second) return 0;  // duplicate: skip, keep going
+    if (!s.seen.insert(v)) return 0;  // duplicate: skip, keep going
     if (!ctx.cancel.Charge(kHashSetEntryBytes)) {
       charge_error = ctx.cancel.ToStatus();
       return -1;  // budget tripped: stop the walk
@@ -393,7 +393,7 @@ Result<bool> Dedup::Process(const ExecContext& ctx, OpScratch& state,
                             uint64_t row, RowSink sink) const {
   GDB_CHECK_CANCEL(ctx.cancel);
   OpScratch& s = Fresh(ctx, state);
-  if (s.seen.insert(row).second) {
+  if (s.seen.insert(row)) {
     GDB_CHECK_CHARGE(ctx.cancel, kHashSetEntryBytes);
     return sink(row);
   }

@@ -63,7 +63,7 @@ struct ExecContext {
 inline OpScratch& Fresh(const ExecContext& ctx, OpScratch& state) {
   if (state.epoch != ctx.scratch.run_epoch) {
     state.counter = 0;
-    state.seen.clear();  // keeps buckets: no realloc on the next fills
+    state.seen.clear();  // O(1), keeps the table: no realloc on refill
     state.epoch = ctx.scratch.run_epoch;
   }
   return state;

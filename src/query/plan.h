@@ -59,10 +59,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/engine.h"
+#include "src/util/flat_set.h"
 
 namespace gdbmicro {
 namespace query {
@@ -147,12 +147,12 @@ struct TraversalOutput {
 /// accumulator). Epoch-stamped: a slot is lazily reset the first time an
 /// operator touches it in a run whose epoch differs from the stamp, so
 /// starting a run is O(1) — no per-operator reset sweep, and untouched
-/// slots cost nothing. clear() keeps the hash set's buckets, so a warm
-/// slot reallocates nothing.
+/// slots cost nothing. The dedup set clears in O(1) and keeps its table,
+/// so a warm slot reallocates nothing.
 struct OpScratch {
   uint64_t epoch = 0;
   uint64_t counter = 0;
-  std::unordered_set<uint64_t> seen;
+  FlatU64Set seen;
 };
 
 /// All per-run mutable state of plan execution, owned by a QuerySession

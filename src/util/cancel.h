@@ -35,7 +35,7 @@ enum class TripReason : uint8_t {
 class CancelToken {
  public:
   /// A token that never cancels and accounts no memory.
-  CancelToken() : state_(std::make_shared<State>()) {}
+  CancelToken() : CancelToken(Clock::now()) {}
 
   /// A token that expires `deadline` after now. Non-positive => immediate.
   /// (Unlike WithLimits, 0 here means "spent", not "no deadline" — the
@@ -56,8 +56,7 @@ class CancelToken {
   /// factory.
   static CancelToken WithLimits(std::chrono::nanoseconds deadline,
                                 uint64_t memory_budget_bytes) {
-    CancelToken t;
-    t.state_->armed_at = Clock::now();
+    CancelToken t(Clock::now());  // the token's one clock read
     if (deadline.count() != 0) {
       t.state_->deadline = t.state_->armed_at + deadline;
       t.state_->deadline_budget = deadline;
@@ -183,7 +182,7 @@ class CancelToken {
   struct State {
     std::atomic<uint8_t> tripped{static_cast<uint8_t>(TripReason::kNone)};
     bool has_deadline = false;
-    Clock::time_point armed_at{Clock::now()};
+    Clock::time_point armed_at{};
     Clock::time_point deadline{};
     std::chrono::nanoseconds deadline_budget{0};
     uint64_t budget_bytes = 0;
@@ -191,6 +190,11 @@ class CancelToken {
     mutable std::atomic<const char*> position{nullptr};
     mutable std::atomic<uint32_t> poll_counter{0};
   };
+
+  explicit CancelToken(Clock::time_point armed_at)
+      : state_(std::make_shared<State>()) {
+    state_->armed_at = armed_at;
+  }
 
   void Trip(TripReason reason) const {
     uint8_t expected = static_cast<uint8_t>(TripReason::kNone);

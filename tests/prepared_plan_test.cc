@@ -11,7 +11,10 @@
 // session's PlanScratch and is reused, while the rebuild path pays the
 // traversal build + lowering allocations every iteration. Beneath it, direct
 // adjacency and scan visitor calls allocate nothing on the native-layout
-// engines.
+// engines, and a warm dedup() adds no allocation per admitted row.
+//
+// And the shared PreparedQueryCache: one lowering per key under racing
+// first lookups, stable plan addresses, and a typed error off its range.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/queries.h"
 #include "src/graph/registry.h"
 #include "src/query/traversal.h"
 
@@ -499,6 +503,133 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
+
+// The dedup set clears in O(1) and keeps its table (src/util/flat_set.h),
+// so on a warm session dedup() costs no allocation per admitted row: the
+// plan allocates no more per run than the same plan without it.
+class DedupAllocationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DedupAllocationTest, WarmDedupAllocatesNoMoreThanWithoutIt) {
+  auto engine = OpenEngine(GetParam(), EngineOptions{}).value();
+  std::vector<VertexId> v = AddPropertylessGraph(*engine);
+  ASSERT_EQ(v.size(), 200u);
+  auto session = engine->CreateSession();
+  CancelToken never;
+  auto deduped =
+      Traversal::V(Bound{}).BothE().Label().Dedup().Count().Prepare(*engine);
+  auto plain = Traversal::V(Bound{}).BothE().Label().Count().Prepare(*engine);
+  ASSERT_TRUE(deduped.ok()) << deduped.status();
+  ASSERT_TRUE(plain.ok()) << plain.status();
+
+  // Allocations of one pass over every vertex, after a warmup pass.
+  auto measure = [&](const PreparedPlan& plan, uint64_t* rows) {
+    PlanParams params;
+    for (int pass = 0; pass < 2; ++pass) {
+      const uint64_t before = g_allocs;
+      *rows = 0;
+      for (VertexId u : v) {
+        params.id = u;
+        auto n = plan.RunCount(*session, never, params);
+        EXPECT_TRUE(n.ok()) << n.status();
+        if (n.ok()) *rows += *n;
+      }
+      if (pass == 1) return g_allocs - before;
+    }
+    return uint64_t{0};
+  };
+  uint64_t deduped_rows = 0, plain_rows = 0;
+  const uint64_t deduped_allocs = measure(*deduped, &deduped_rows);
+  const uint64_t plain_allocs = measure(*plain, &plain_rows);
+  EXPECT_EQ(deduped_rows, v.size());  // one label, every vertex has edges
+  EXPECT_EQ(plain_rows, 2 * v.size());
+  EXPECT_LE(deduped_allocs, plain_allocs)
+      << static_cast<double>(deduped_allocs) / v.size()
+      << " allocs/run with dedup(), "
+      << static_cast<double>(plain_allocs) / v.size() << " without";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NativeLayoutEngines, DedupAllocationTest,
+    ::testing::Values("blaze", "neo19", "neo30", "sparksee", "sqlg",
+                      "titan05"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// --- Shared prepared-plan cache ---------------------------------------------
+
+class PreparedQueryCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    engine_ = OpenEngine("neo19", EngineOptions{}).value();
+    v_ = AddPropertylessGraph(*engine_);
+    ASSERT_EQ(v_.size(), 200u);
+  }
+
+  // A callable object: FunctionRef does not bind plain functions.
+  const std::function<Traversal()> out_count_ = [] {
+    return Traversal::V(Bound{}).Out().Count();
+  };
+  std::unique_ptr<GraphEngine> engine_;
+  std::vector<VertexId> v_;
+};
+
+TEST_F(PreparedQueryCacheTest, RacingFirstLookupsLowerOnce) {
+  core::PreparedQueryCache cache(engine_.get());
+  constexpr int kThreads = 4;
+  std::atomic<int> builds{0};
+  std::atomic<int> ready{0};
+  std::vector<const PreparedPlan*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto plan = cache.Get(23, [&] {
+        builds.fetch_add(1);
+        return out_count_();
+      });
+      if (plan.ok()) got[static_cast<size_t>(t)] = *plan;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  ASSERT_NE(got[0], nullptr);
+  for (const PreparedPlan* plan : got) EXPECT_EQ(plan, got[0]);
+}
+
+TEST_F(PreparedQueryCacheTest, PlansStayValidWhileOtherKeysFill) {
+  core::PreparedQueryCache cache(engine_.get());
+  auto first = cache.Get(22, out_count_);
+  ASSERT_TRUE(first.ok()) << first.status();
+  for (int key = 0; key < core::PreparedQueryCache::kSlots; ++key) {
+    ASSERT_TRUE(cache.Get(key, out_count_).ok()) << key;
+  }
+  auto again = cache.Get(22, [this] {
+    ADD_FAILURE() << "a cached key must not lower again";
+    return out_count_();
+  });
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *first);
+
+  // The first plan still runs: its address outlived every later insert.
+  auto session = engine_->CreateSession();
+  PlanParams params;
+  params.id = v_[0];
+  auto n = (*first)->RunCount(*session, CancelToken(), params);
+  ASSERT_TRUE(n.ok()) << n.status();
+  EXPECT_EQ(*n, 1u);
+}
+
+TEST_F(PreparedQueryCacheTest, KeyOutsideTheSlotArrayIsInvalidArgument) {
+  core::PreparedQueryCache cache(engine_.get());
+  for (int key : {-1, core::PreparedQueryCache::kSlots}) {
+    auto plan = cache.Get(key, out_count_);
+    ASSERT_FALSE(plan.ok()) << key;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+        << plan.status();
+  }
+}
 
 // --- Cost-based re-pricing ---------------------------------------------------
 

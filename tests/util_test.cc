@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/util/cancel.h"
+#include "src/util/flat_set.h"
 #include "src/util/function_ref.h"
 #include "src/util/json.h"
 #include "src/util/result.h"
@@ -158,6 +159,29 @@ TEST(FunctionRefTest, AcceptsMoveOnlyCallable) {
   FunctionRef<int(int)> ref(owner);
   EXPECT_EQ(ref(2), 42);
   EXPECT_EQ(ApplyTwice(owner, 1), 81);
+}
+
+TEST(FlatU64SetTest, InsertReportsNewKeysAcrossGrowth) {
+  FlatU64Set set;
+  // 0 and ~0 are ordinary keys: the set reserves no empty marker.
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(~uint64_t{0}));
+  EXPECT_FALSE(set.insert(0));
+  for (uint64_t k = 1; k <= 1000; ++k) EXPECT_TRUE(set.insert(k * 7919));
+  for (uint64_t k = 1; k <= 1000; ++k) EXPECT_FALSE(set.insert(k * 7919));
+  EXPECT_FALSE(set.insert(~uint64_t{0}));
+  EXPECT_EQ(set.size(), 1002u);
+}
+
+TEST(FlatU64SetTest, ClearForgetsEveryKey) {
+  FlatU64Set set;
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(set.insert(k)) << round;
+    EXPECT_FALSE(set.insert(42));
+    EXPECT_EQ(set.size(), 100u);
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+  }
 }
 
 TEST(VarintTest, RoundTripBoundaries) {

@@ -105,6 +105,67 @@ TEST(EpochManagerTest, NewPinsBlockWhileWriterApplies) {
   epochs.Unpin(seen);
 }
 
+// Readers pin and unpin through the lock-free gate word while a writer
+// publishes: a pinned reader always sits on current() and never overlaps
+// an apply window. The "applying" flag is written only inside the window;
+// TSan reports a race and the assertions fail if a pin ever overlaps one.
+TEST(EpochManagerTest, LockFreePinsNeverOverlapAnApply) {
+  EpochManager epochs;
+  constexpr int kReaders = 4;
+  constexpr int kPublishes = 2000;
+  std::atomic<bool> applying{false};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> pins{0};
+  std::atomic<uint64_t> violations{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_relaxed)) {
+        uint64_t e = epochs.Pin();
+        if (e != epochs.current() || applying.load(std::memory_order_relaxed)) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+        pins.fetch_add(1, std::memory_order_relaxed);
+        epochs.Unpin(e);
+      }
+    });
+  }
+  uint64_t drained_with_pins = 0;
+  for (int i = 0; i < kPublishes; ++i) {
+    epochs.BeginApply();
+    if (epochs.pinned() != 0) ++drained_with_pins;
+    applying.store(true, std::memory_order_relaxed);
+    applying.store(false, std::memory_order_relaxed);
+    epochs.EndApply();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(drained_with_pins, 0u);
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(pins.load(), 0u);
+  EXPECT_EQ(epochs.current(), static_cast<uint64_t>(kPublishes));
+  EXPECT_EQ(epochs.pinned(), 0u);
+}
+
+TEST(EpochManagerTest, UnmatchedUnpinIsANoOp) {
+  EpochManager epochs;
+  epochs.Unpin(0);  // no pin: must not wrap the count into the flag bits
+  EXPECT_EQ(epochs.pinned(), 0u);
+  EXPECT_FALSE(epochs.writer_waiting());
+  epochs.BeginApply();  // would hang on a wrapped count
+  EXPECT_EQ(epochs.EndApply(), 1u);
+
+  uint64_t e = epochs.Pin();
+  epochs.Unpin(e);
+  epochs.Unpin(e);  // double unpin
+  EXPECT_EQ(epochs.pinned(), 0u);
+  epochs.BeginApply();
+  EXPECT_EQ(epochs.EndApply(), 2u);
+  EXPECT_EQ(epochs.Pin(), 2u);
+  EXPECT_EQ(epochs.pinned(), 1u);
+  epochs.Unpin(2);
+}
+
 // --- GraphWriter ------------------------------------------------------------
 
 class WriterTest : public ::testing::TestWithParam<std::string> {
